@@ -200,6 +200,10 @@ impl NodeController {
         resp: SnoopResponse,
     ) -> NodeOutcome {
         let line = self.params.geometry().line_addr(addr);
+        // One tag probe per event: every later read and update of the
+        // line's entry goes through this slot.
+        let slot = self.tags.find(line);
+        let state = slot.map_or(StateId::INVALID, |slot| self.tags.state_at(slot));
         if !self.buffer.arrive(cycle) {
             self.counters.incr(NodeCounter::BufferOverflows);
             self.counters.incr(NodeCounter::EventsDropped);
@@ -208,12 +212,11 @@ impl NodeController {
                 accepted: false,
                 hit: false,
                 actions: ActionSet::EMPTY,
-                next: self.tags.state(line),
+                next: state,
             };
         }
 
-        let state = self.tags.state(line);
-        let hit = !state.is_invalid();
+        let hit = slot.is_some();
         let transition = self.protocol.lookup(event, state, remote);
         let first_touch = self.cold.first_touch(line);
 
@@ -291,24 +294,29 @@ impl NodeController {
         }
 
         // State application.
-        if transition.next.is_invalid() {
-            if hit {
-                self.tags.invalidate(line);
+        match slot {
+            Some(slot) if transition.next.is_invalid() => {
+                self.tags.invalidate_at(slot);
             }
-        } else if hit {
-            self.tags.set_state(line, transition.next);
-            if event.is_demand() {
-                self.tags.touch(line);
-            }
-        } else if transition.actions.contains(Action::Allocate) {
-            if let Some(victim) = self.tags.allocate(line, transition.next) {
-                self.counters.incr(NodeCounter::VictimEvictions);
-                if self.protocol.is_dirty_state(victim.state) {
-                    self.counters.incr(NodeCounter::VictimWritebacks);
+            Some(slot) => {
+                self.tags.set_state_at(slot, transition.next);
+                if event.is_demand() {
+                    self.tags.touch_at(slot);
                 }
             }
+            None if !transition.next.is_invalid()
+                && transition.actions.contains(Action::Allocate) =>
+            {
+                if let Some(victim) = self.tags.allocate_absent(line, transition.next) {
+                    self.counters.incr(NodeCounter::VictimEvictions);
+                    if self.protocol.is_dirty_state(victim.state) {
+                        self.counters.incr(NodeCounter::VictimWritebacks);
+                    }
+                }
+            }
+            // Miss without allocate: the emulated cache stays unchanged.
+            None => {}
         }
-        // Miss without allocate: the emulated cache stays unchanged.
 
         NodeOutcome {
             event,

@@ -350,21 +350,24 @@ impl BusListener for NumaEmulator {
                 (&mut self.remote_caches[node], &self.config.remote_cache)
             {
                 let line = params.geometry().line_addr(txn.addr);
-                if rc.contains(line) {
-                    self.counters.remote_cache_hits += 1;
-                    rc.touch(line);
-                } else {
-                    self.counters.remote_cache_misses += 1;
-                    rc.allocate(line, RC_VALID);
+                match rc.find(line) {
+                    Some(slot) => {
+                        self.counters.remote_cache_hits += 1;
+                        rc.touch_at(slot);
+                    }
+                    None => {
+                        self.counters.remote_cache_misses += 1;
+                        rc.allocate_absent(line, RC_VALID);
+                    }
                 }
             }
         }
 
-        // The requester's L3 directory tracks the line.
+        // The requester's L3 directory tracks the line (`allocate` records
+        // the use of a line already resident).
         let l3_line = self.config.l3.geometry().line_addr(txn.addr);
         let state = if write { L3_MODIFIED } else { L3_SHARED };
         self.l3[node].allocate(l3_line, state);
-        self.l3[node].touch(l3_line);
 
         // The home node's sparse directory.
         let outcome = self.directories[home].update(txn.addr, node, write);

@@ -10,10 +10,10 @@ use std::str::FromStr;
 /// A victim-selection policy for one emulated cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ReplacementPolicy {
-    /// True least-recently-used (per-way timestamps).
+    /// True least-recently-used (a per-set recency rank for every way).
     #[default]
     Lru,
-    /// First-in first-out (timestamps updated only on fill).
+    /// First-in first-out (recency ranks updated only on fill).
     Fifo,
     /// Pseudo-random (deterministic xorshift stream per tag store).
     Random,
@@ -79,6 +79,42 @@ impl FromStr for ReplacementPolicy {
                 input: s.to_string(),
             })
     }
+}
+
+/// A recency-rank word holds one 4-bit rank per way (0 = most recent),
+/// stored XOR this value: way `w` starts at rank `w`, so the all-zero
+/// word a fresh (zeroed) table holds is already a permutation.
+const INITIAL_RANKS: u32 = 0x7654_3210;
+
+/// The rank of `way` in a recency-rank word.
+fn rank_of(word: u32, way: u32) -> u32 {
+    ((word ^ INITIAL_RANKS) >> (4 * way)) & 0xf
+}
+
+/// Marks `way` most recently used in a recency-rank word: `way` takes
+/// rank 0 and every way more recent than it ages by one. The ranks stay a
+/// permutation, so once every way has been used they order the ways by
+/// last use, exactly as per-way use timestamps would.
+pub(crate) fn rank_touch(word: u32, way: u32, ways: u32) -> u32 {
+    const ONES: u32 = 0x1111_1111;
+    const HIGHS: u32 = 0x8888_8888;
+    let ranks = word ^ INITIAL_RANKS;
+    let rank = rank_of(word, way);
+    // Per field, `8 + r - rank` lies in 1..=15 (ranks are at most 7), so
+    // no borrow crosses fields, and its bit 3 is clear exactly when
+    // `r < rank`: those are the ways used more recently than `way`.
+    let in_set = u32::MAX >> (32 - 4 * ways);
+    let younger = !((ranks | HIGHS) - rank * ONES) & HIGHS & in_set;
+    let aged = (ranks + (younger >> 3)) & !(0xf << (4 * way));
+    aged ^ INITIAL_RANKS
+}
+
+/// The least recently used way of a recency-rank word: the one ranked
+/// `ways - 1`.
+pub(crate) fn rank_victim(word: u32, ways: u32) -> u32 {
+    (0..ways)
+        .find(|&w| rank_of(word, w) == ways - 1)
+        .unwrap_or(0)
 }
 
 /// Marks `way` most-recently-used in a bit-PLRU mask, clearing the other
@@ -162,6 +198,28 @@ mod tests {
                 "victimized MRU way after touching {way}"
             );
         }
+    }
+
+    #[test]
+    fn rank_touch_keeps_a_permutation_ordered_by_last_use() {
+        let mut word = 0;
+        assert_eq!(
+            (0..8).map(|w| rank_of(word, w)).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4, 5, 6, 7]
+        );
+        for way in [2u32, 0, 3, 1, 0, 2] {
+            word = rank_touch(word, way, 4);
+        }
+        // Last uses, most recent first: 2, 0, 1, 3.
+        assert_eq!([2, 0, 1, 3].map(|w| rank_of(word, w)), [0, 1, 2, 3]);
+        assert_eq!(rank_victim(word, 4), 3);
+        // Fields past the associativity are left alone.
+        assert_eq!(word >> 16, 0);
+    }
+
+    #[test]
+    fn rank_victim_of_a_direct_mapped_set_is_way_zero() {
+        assert_eq!(rank_victim(rank_touch(0, 0, 1), 1), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! grouping; the serial board itself is just the single full shard.
 
 use memories_bus::{NodeId, Transaction};
-use memories_protocol::{AccessEvent, RemoteSummary};
+use memories_protocol::RemoteSummary;
 
 use crate::filter::NodePartition;
 use crate::node::NodeController;
@@ -37,6 +37,9 @@ pub struct NodeShard {
     indices: Vec<u8>,
     /// The owned controllers.
     nodes: Vec<NodeController>,
+    /// Per member: a bitmask over `nodes` positions of its same-domain
+    /// siblings, the nodes whose summaries feed its remote input.
+    siblings: Vec<u8>,
 }
 
 impl NodeShard {
@@ -46,10 +49,24 @@ impl NodeShard {
         nodes: Vec<NodeController>,
     ) -> Self {
         debug_assert_eq!(indices.len(), nodes.len());
+        debug_assert!(nodes.len() <= NodeId::MAX_NODES);
+        let domain = |i: u8| partition.domain(NodeId::new(i));
+        let siblings = indices
+            .iter()
+            .enumerate()
+            .map(|(pos, &i)| {
+                indices
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, &k)| j != pos && domain(k) == domain(i))
+                    .fold(0u8, |mask, (j, _)| mask | 1 << j)
+            })
+            .collect();
         NodeShard {
             partition,
             indices,
             nodes,
+            siblings,
         }
     }
 
@@ -116,35 +133,30 @@ impl NodeShard {
     /// into a bus retry.
     pub fn snoop(&mut self, txn: &Transaction) -> bool {
         // Lock step, phase 1: classify and snapshot remote summaries from
-        // pre-transaction directory state.
-        let mut work: Vec<(usize, AccessEvent, RemoteSummary)> =
-            Vec::with_capacity(self.nodes.len());
-        for (pos, _) in self.nodes.iter().enumerate() {
-            let id = NodeId::new(self.indices[pos]);
-            let Some(event) = self.partition.event_for(id, txn) else {
+        // pre-transaction directory state, into a per-member work array
+        // on the stack.
+        let mut work = [None; NodeId::MAX_NODES];
+        for (pos, item) in work.iter_mut().enumerate().take(self.nodes.len()) {
+            let Some(event) = self
+                .partition
+                .event_for(NodeId::new(self.indices[pos]), txn)
+            else {
                 continue;
             };
-            let my_domain = self.partition.domain(id);
-            let mut remote = RemoteSummary::None;
-            for (jpos, other) in self.nodes.iter().enumerate() {
-                if jpos == pos {
-                    continue;
-                }
-                if self.partition.domain(NodeId::new(self.indices[jpos])) != my_domain {
-                    continue;
-                }
-                remote = remote.max(other.summarize(txn.addr));
-            }
-            work.push((pos, event, remote));
+            let siblings = self.siblings[pos];
+            let remote = (0..self.nodes.len())
+                .filter(|j| siblings & (1 << j) != 0)
+                .map(|j| self.nodes[j].summarize(txn.addr))
+                .fold(RemoteSummary::None, RemoteSummary::max);
+            *item = Some((event, remote));
         }
 
         // Phase 2: apply transitions.
         let mut overflow = false;
-        for (pos, event, remote) in work {
-            let outcome =
-                self.nodes[pos].process_with_resp(event, txn.addr, txn.cycle, remote, txn.resp);
-            if !outcome.accepted {
-                overflow = true;
+        for (node, item) in self.nodes.iter_mut().zip(work) {
+            if let Some((event, remote)) = item {
+                let outcome = node.process_with_resp(event, txn.addr, txn.cycle, remote, txn.resp);
+                overflow |= !outcome.accepted;
             }
         }
         overflow
@@ -190,6 +202,60 @@ mod tests {
                 .map(|(i, d)| (*d, [ProcId::new(i as u8)])),
         )
         .unwrap()
+    }
+
+    fn params(capacity: u64) -> crate::CacheParams {
+        crate::CacheParams::builder()
+            .capacity(capacity)
+            .ways(1)
+            .line_size(128)
+            .allow_scaled_down()
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn siblings_are_the_other_members_of_the_same_domain() {
+        let nodes = (0..4)
+            .map(|i| {
+                NodeController::new(
+                    NodeId::new(i),
+                    params(1 << 10),
+                    memories_protocol::standard::mesi(),
+                )
+            })
+            .collect();
+        // Nodes 0,2 in domain 0; nodes 1,3 in domain 1.
+        let shard = NodeShard::new(partition(&[0, 1, 0, 1]), vec![0, 1, 2, 3], nodes);
+        assert_eq!(shard.siblings, [0b0100, 0b1000, 0b0001, 0b0010]);
+    }
+
+    #[test]
+    fn remote_summaries_ignore_other_domains() {
+        use crate::{BoardConfig, MemoriesBoard};
+        use memories_bus::{Address, BusListener, BusOp, SnoopResponse};
+
+        // Figure 4: two configurations over the same CPU, each its own
+        // domain. Node 0 holds one line; node 1 holds many.
+        let config =
+            BoardConfig::parallel_configs(vec![params(128), params(4 << 10)], vec![ProcId::new(0)]);
+        let mut board = MemoriesBoard::new(config.unwrap()).unwrap();
+        let (a, b) = (Address::new(0), Address::new(128));
+        for (i, addr) in [a, b, a].into_iter().enumerate() {
+            let txn = Transaction::new(
+                i as u64,
+                i as u64 * 100,
+                ProcId::new(0),
+                BusOp::Read,
+                addr,
+                SnoopResponse::Null,
+            );
+            board.on_transaction(&txn);
+        }
+        // Node 0 refilled `a` while node 1 still held it: only a
+        // cross-domain summary could make the refill shared.
+        let node = board.node(NodeId::new(0));
+        assert_eq!(node.protocol().state_name(node.probe(a)), "E");
     }
 
     #[test]

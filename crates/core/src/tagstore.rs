@@ -6,7 +6,9 @@ use memories_bus::{Geometry, LineAddr};
 use memories_protocol::StateId;
 
 use crate::params::CacheParams;
-use crate::replacement::{plru_touch, plru_victim, ReplacementPolicy, XorShift};
+use crate::replacement::{
+    plru_touch, plru_victim, rank_touch, rank_victim, ReplacementPolicy, XorShift,
+};
 
 /// A line evicted from the tag store to make room for an allocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -17,6 +19,22 @@ pub struct EvictedLine {
     pub state: StateId,
 }
 
+/// Low bits of an entry word holding the state; the tag sits above them.
+/// [`StateId::MAX_STATES`] is 8, so three bits hold every state.
+const STATE_BITS: u32 = 3;
+const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
+
+/// The position of one resident entry in a [`TagStore`], as returned by
+/// [`TagStore::find`].
+///
+/// A slot names a way, not a line: it stays valid for the line it was
+/// found for until that entry is freed ([`TagStore::invalidate_at`], or
+/// [`TagStore::set_state_at`] to state 0) or a later allocation into the
+/// same set evicts it. Using a stale slot reads or writes whatever the way
+/// holds by then.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TagSlot(usize);
+
 /// The tag, state, and replacement-metadata tables of one emulated cache
 /// node — the structure the board keeps in four 64 MB SDRAM DIMMs per node
 /// controller (§3).
@@ -24,6 +42,15 @@ pub struct EvictedLine {
 /// States are the *programmable* protocol's [`StateId`]s; state 0 means
 /// the entry is free. The store never interprets states beyond "state 0 is
 /// invalid"; dirtiness is the protocol table's business.
+///
+/// Each way is one `u64` word, `tag << 3 | state`. Lines are at least
+/// 128 B, so a line address from [`Geometry::line_addr`] has at most 57
+/// bits and so does its tag; the packing is exact for every such line.
+///
+/// The primitive is one probe: [`TagStore::find`] returns the line's
+/// [`TagSlot`], and the slot methods read and update that entry without
+/// searching the set again. The line-keyed methods are thin wrappers that
+/// probe once and then use the slot.
 ///
 /// # Examples
 ///
@@ -37,7 +64,9 @@ pub struct EvictedLine {
 /// let line = store.geometry().line_addr(memories_bus::Address::new(0x1000));
 /// assert_eq!(store.state(line), StateId::INVALID);
 /// store.allocate(line, StateId::new(1));
-/// assert_eq!(store.state(line), StateId::new(1));
+/// let slot = store.find(line).unwrap();
+/// store.set_state_at(slot, StateId::new(2));
+/// assert_eq!(store.state(line), StateId::new(2));
 /// # Ok(())
 /// # }
 /// ```
@@ -45,13 +74,17 @@ pub struct EvictedLine {
 pub struct TagStore {
     geom: Geometry,
     policy: ReplacementPolicy,
-    tags: Vec<u64>,
-    states: Vec<StateId>,
-    stamps: Vec<u64>,
-    plru: Vec<u8>,
+    entries: Vec<u64>,
+    /// Per set, the replacement history in one word: a recency rank per
+    /// way under LRU and FIFO, the MRU bits under PLRU (empty for random).
+    history: Vec<u32>,
     rng: XorShift,
-    tick: u64,
     resident: u64,
+}
+
+/// The state held in an entry word.
+fn entry_state(entry: u64) -> StateId {
+    StateId::new((entry & STATE_MASK) as u8)
 }
 
 impl TagStore {
@@ -63,20 +96,13 @@ impl TagStore {
         TagStore {
             geom,
             policy,
-            tags: vec![0; n],
-            states: vec![StateId::INVALID; n],
-            stamps: if matches!(policy, ReplacementPolicy::Lru | ReplacementPolicy::Fifo) {
-                vec![0; n]
-            } else {
+            entries: vec![0; n],
+            history: if policy == ReplacementPolicy::Random {
                 Vec::new()
-            },
-            plru: if matches!(policy, ReplacementPolicy::PlruBits) {
+            } else {
                 vec![0; geom.sets()]
-            } else {
-                Vec::new()
             },
             rng: XorShift(0x9E37_79B9_7F4A_7C15),
-            tick: 0,
             resident: 0,
         }
     }
@@ -96,21 +122,142 @@ impl TagStore {
         self.resident
     }
 
-    fn way_range(&self, set: usize) -> std::ops::Range<usize> {
-        let ways = self.geom.ways() as usize;
-        set * ways..(set + 1) * ways
+    /// The first entry index of `line`'s set and the line's tag, shifted
+    /// into entry position.
+    fn set_base_and_key(&self, line: LineAddr) -> (usize, u64) {
+        let tag = self.geom.tag(line);
+        debug_assert!(
+            tag >> (u64::BITS - STATE_BITS) == 0,
+            "line {line:?} is wider than this store's geometry allows"
+        );
+        let base = self.geom.set_index(line) * self.geom.ways() as usize;
+        (base, tag << STATE_BITS)
     }
 
-    fn find(&self, line: LineAddr) -> Option<usize> {
-        let set = self.geom.set_index(line);
-        let tag = self.geom.tag(line);
-        self.way_range(set)
-            .find(|&i| !self.states[i].is_invalid() && self.tags[i] == tag)
+    /// Finds `line`'s entry: the single tag probe every other access
+    /// builds on. `None` if the line is absent.
+    pub fn find(&self, line: LineAddr) -> Option<TagSlot> {
+        let (base, key) = self.set_base_and_key(line);
+        let ways = self.geom.ways() as usize;
+        // `entry ^ key` is 1..=7 exactly when the tags match and the
+        // state is not 0, so one compare tests both.
+        self.entries[base..base + ways]
+            .iter()
+            .position(|&entry| (entry ^ key).wrapping_sub(1) < STATE_MASK)
+            .map(|way| TagSlot(base + way))
+    }
+
+    /// The protocol state of the entry at `slot`.
+    pub fn state_at(&self, slot: TagSlot) -> StateId {
+        entry_state(self.entries[slot.0])
+    }
+
+    /// Sets the state of the entry at `slot`, returning the previous
+    /// state. A transition to state 0 frees the entry.
+    pub fn set_state_at(&mut self, slot: TagSlot, state: StateId) -> StateId {
+        let entry = &mut self.entries[slot.0];
+        let old = entry_state(*entry);
+        debug_assert!(!old.is_invalid(), "slot {slot:?} is not resident");
+        *entry = (*entry & !STATE_MASK) | u64::from(state.value());
+        if state.is_invalid() {
+            self.resident -= 1;
+        }
+        old
+    }
+
+    /// Frees the entry at `slot`, returning its old state.
+    pub fn invalidate_at(&mut self, slot: TagSlot) -> StateId {
+        self.set_state_at(slot, StateId::INVALID)
+    }
+
+    /// Records a use of the entry at `slot` for the replacement policy
+    /// (LRU recency / PLRU bit; no effect under FIFO or random).
+    pub fn touch_at(&mut self, slot: TagSlot) {
+        if matches!(
+            self.policy,
+            ReplacementPolicy::Lru | ReplacementPolicy::PlruBits
+        ) {
+            self.record_use(slot.0);
+        }
+    }
+
+    /// Allocates an entry for `line`, which must be absent, in `state`,
+    /// evicting per the replacement policy if the set is full. Returns the
+    /// victim, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `state` is the invalid state or `line`
+    /// is already resident.
+    pub fn allocate_absent(&mut self, line: LineAddr, state: StateId) -> Option<EvictedLine> {
+        debug_assert!(
+            !state.is_invalid(),
+            "cannot allocate into the invalid state"
+        );
+        debug_assert!(self.find(line).is_none(), "line {line:?} is resident");
+        let (base, key) = self.set_base_and_key(line);
+        let ways = self.geom.ways() as usize;
+
+        // Prefer a free way.
+        let free = self.entries[base..base + ways]
+            .iter()
+            .position(|&entry| entry & STATE_MASK == 0);
+        let (i, victim) = match free {
+            Some(way) => {
+                self.resident += 1;
+                (base + way, None)
+            }
+            None => {
+                let set = self.geom.set_index(line);
+                let i = base + self.victim_way(set);
+                let entry = self.entries[i];
+                let victim = EvictedLine {
+                    line: self.geom.line_from_parts(entry >> STATE_BITS, set),
+                    state: entry_state(entry),
+                };
+                (i, Some(victim))
+            }
+        };
+
+        self.entries[i] = key | u64::from(state.value());
+        self.record_use(i);
+        victim
+    }
+
+    /// The way a fill into the full set `set` replaces.
+    fn victim_way(&mut self, set: usize) -> usize {
+        let ways = self.geom.ways();
+        let way = match self.policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                rank_victim(self.history[set], ways)
+            }
+            ReplacementPolicy::Random => (self.rng.next() % u64::from(ways)) as u32,
+            ReplacementPolicy::PlruBits => plru_victim(self.history[set] as u8, ways),
+        };
+        way as usize
+    }
+
+    /// Makes entry `i` the most recent use of its set in the replacement
+    /// history (a fill under every policy but random; a touch under LRU
+    /// and PLRU).
+    fn record_use(&mut self, i: usize) {
+        let ways = self.geom.ways();
+        let (set, way) = (i / ways as usize, (i % ways as usize) as u32);
+        match self.policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                self.history[set] = rank_touch(self.history[set], way, ways);
+            }
+            ReplacementPolicy::PlruBits => {
+                self.history[set] = u32::from(plru_touch(self.history[set] as u8, way, ways));
+            }
+            ReplacementPolicy::Random => {}
+        }
     }
 
     /// The protocol state of `line` ([`StateId::INVALID`] if absent).
     pub fn state(&self, line: LineAddr) -> StateId {
-        self.find(line).map_or(StateId::INVALID, |i| self.states[i])
+        self.find(line)
+            .map_or(StateId::INVALID, |slot| self.state_at(slot))
     }
 
     /// Whether `line` has an entry.
@@ -118,25 +265,13 @@ impl TagStore {
         self.find(line).is_some()
     }
 
-    /// Records a use of `line` for the replacement policy (LRU timestamp /
-    /// PLRU bit; no effect under FIFO or random). Returns whether the line
-    /// was resident.
+    /// Records a use of `line` for the replacement policy (see
+    /// [`TagStore::touch_at`]). Returns whether the line was resident.
     pub fn touch(&mut self, line: LineAddr) -> bool {
-        let Some(i) = self.find(line) else {
+        let Some(slot) = self.find(line) else {
             return false;
         };
-        match self.policy {
-            ReplacementPolicy::Lru => {
-                self.tick += 1;
-                self.stamps[i] = self.tick;
-            }
-            ReplacementPolicy::PlruBits => {
-                let set = self.geom.set_index(line);
-                let way = (i - set * self.geom.ways() as usize) as u32;
-                self.plru[set] = plru_touch(self.plru[set], way, self.geom.ways());
-            }
-            ReplacementPolicy::Fifo | ReplacementPolicy::Random => {}
-        }
+        self.touch_at(slot);
         true
     }
 
@@ -144,109 +279,51 @@ impl TagStore {
     /// previous state if resident. A transition back to state 0 frees the
     /// entry.
     pub fn set_state(&mut self, line: LineAddr, state: StateId) -> Option<StateId> {
-        let i = self.find(line)?;
-        let old = self.states[i];
-        self.states[i] = state;
-        if state.is_invalid() {
-            self.resident -= 1;
-        }
-        Some(old)
+        let slot = self.find(line)?;
+        Some(self.set_state_at(slot, state))
     }
 
     /// Allocates an entry for `line` in `state`, evicting per the
     /// replacement policy if the set is full. Returns the victim, if any.
     ///
-    /// If the line is already resident, only its state is updated.
+    /// If the line is already resident, only its state is updated and
+    /// the use recorded.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `state` is the invalid state.
     pub fn allocate(&mut self, line: LineAddr, state: StateId) -> Option<EvictedLine> {
+        let Some(slot) = self.find(line) else {
+            return self.allocate_absent(line, state);
+        };
         debug_assert!(
             !state.is_invalid(),
             "cannot allocate into the invalid state"
         );
-        if let Some(i) = self.find(line) {
-            self.states[i] = state;
-            self.touch(line);
-            return None;
-        }
-        let set = self.geom.set_index(line);
-        let ways = self.geom.ways();
-
-        // Prefer a free way.
-        let free = self.way_range(set).find(|&i| self.states[i].is_invalid());
-        let (idx, victim) = match free {
-            Some(i) => {
-                self.resident += 1;
-                (i, None)
-            }
-            None => {
-                let way = match self.policy {
-                    ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                        let base = set * ways as usize;
-                        let mut oldest_way = 0u32;
-                        let mut oldest = u64::MAX;
-                        for w in 0..ways {
-                            let s = self.stamps[base + w as usize];
-                            if s < oldest {
-                                oldest = s;
-                                oldest_way = w;
-                            }
-                        }
-                        oldest_way
-                    }
-                    ReplacementPolicy::Random => (self.rng.next() % u64::from(ways)) as u32,
-                    ReplacementPolicy::PlruBits => plru_victim(self.plru[set], ways),
-                };
-                let i = set * ways as usize + way as usize;
-                let victim = EvictedLine {
-                    line: self.geom.line_from_parts(self.tags[i], set),
-                    state: self.states[i],
-                };
-                (i, Some(victim))
-            }
-        };
-
-        self.tags[idx] = self.geom.tag(line);
-        self.states[idx] = state;
-        match self.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                self.tick += 1;
-                self.stamps[idx] = self.tick;
-            }
-            ReplacementPolicy::PlruBits => {
-                let way = (idx - set * ways as usize) as u32;
-                self.plru[set] = plru_touch(self.plru[set], way, ways);
-            }
-            ReplacementPolicy::Random => {}
-        }
-        victim
+        self.set_state_at(slot, state);
+        self.touch_at(slot);
+        None
     }
 
     /// Frees the entry of `line`, returning its old state
     /// ([`StateId::INVALID`] if it was absent).
     pub fn invalidate(&mut self, line: LineAddr) -> StateId {
-        match self.find(line) {
-            Some(i) => {
-                let old = self.states[i];
-                self.states[i] = StateId::INVALID;
-                self.resident -= 1;
-                old
-            }
-            None => StateId::INVALID,
-        }
+        let slot = self.find(line);
+        slot.map_or(StateId::INVALID, |slot| self.invalidate_at(slot))
     }
 
     /// Iterates over `(line, state)` for every resident entry (tests and
     /// statistics extraction).
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, StateId)> + '_ {
         let ways = self.geom.ways() as usize;
-        self.states
+        self.entries
             .iter()
             .enumerate()
-            .filter(|(_, s)| !s.is_invalid())
-            .map(move |(i, s)| (self.geom.line_from_parts(self.tags[i], i / ways), *s))
+            .filter(|(_, entry)| *entry & STATE_MASK != 0)
+            .map(move |(i, entry)| {
+                let line = self.geom.line_from_parts(entry >> STATE_BITS, i / ways);
+                (line, entry_state(*entry))
+            })
     }
 }
 

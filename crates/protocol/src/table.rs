@@ -45,6 +45,9 @@ pub struct ProtocolTable {
     state_names: Vec<String>,
     initial: StateId,
     cells: Vec<Transition>,
+    /// Per state: the summary a sibling node reports for it, derived from
+    /// `cells` once at build time (`None` past the declared states).
+    summaries: [RemoteSummary; StateId::MAX_STATES],
 }
 
 impl ProtocolTable {
@@ -54,12 +57,26 @@ impl ProtocolTable {
         initial: StateId,
         cells: Vec<Transition>,
     ) -> Self {
-        ProtocolTable {
+        let mut table = ProtocolTable {
             name,
             state_names,
             initial,
             cells,
+            summaries: [RemoteSummary::None; StateId::MAX_STATES],
+        };
+        for state in StateId::all(table.state_count()).skip(1) {
+            // A state is dirty if snooping a remote read from it would
+            // supply modified data or write back.
+            let t = table.lookup(AccessEvent::RemoteRead, state, RemoteSummary::None);
+            let dirty = t.actions.contains(crate::action::Action::InterveneModified)
+                || t.actions.contains(crate::action::Action::Writeback);
+            table.summaries[state.index()] = if dirty {
+                RemoteSummary::Modified
+            } else {
+                RemoteSummary::Shared
+            };
         }
+        table
     }
 
     fn cell_index(&self, event: AccessEvent, state: StateId, remote: RemoteSummary) -> usize {
@@ -116,33 +133,27 @@ impl ProtocolTable {
     }
 
     /// Whether `state` counts as "dirty with respect to memory" for this
-    /// table: reaching it from a write/upgrade/castout event, or any state
-    /// whose remote-read transition performs a modified intervention.
+    /// table: any state whose remote-read transition performs a modified
+    /// intervention or a write-back. The invalid state is never dirty.
     ///
     /// Used by victim handling: evicting a dirty line costs a write-back.
+    /// Precomputed when the table is built, so this is one array read.
     pub fn is_dirty_state(&self, state: StateId) -> bool {
-        if state.is_invalid() {
-            return false;
-        }
-        // A state is dirty if snooping a remote read from it would supply
-        // modified data or write back.
-        let t = self.lookup(AccessEvent::RemoteRead, state, RemoteSummary::None);
-        t.actions.contains(crate::action::Action::InterveneModified)
-            || t.actions.contains(crate::action::Action::Writeback)
+        self.summarize_state(state) == RemoteSummary::Modified
     }
 
     /// The remote summary another node should report when it holds a line
     /// in `state`: [`RemoteSummary::Modified`] for dirty states,
     /// [`RemoteSummary::Shared`] for valid clean states,
-    /// [`RemoteSummary::None`] for invalid.
+    /// [`RemoteSummary::None`] for invalid. Precomputed when the table is
+    /// built, so this is one array read.
     pub fn summarize_state(&self, state: StateId) -> RemoteSummary {
-        if state.is_invalid() {
-            RemoteSummary::None
-        } else if self.is_dirty_state(state) {
-            RemoteSummary::Modified
-        } else {
-            RemoteSummary::Shared
-        }
+        debug_assert!(
+            state.index() < self.state_names.len(),
+            "state {state} outside protocol {}",
+            self.name
+        );
+        self.summaries[state.index()]
     }
 }
 
