@@ -79,9 +79,10 @@ impl TransactionBlock {
     }
 
     /// Keeps only the transactions for which `keep` returns `true`,
-    /// preserving order — in-place filtering, no allocation.
-    pub fn retain(&mut self, keep: impl FnMut(&Transaction) -> bool) {
-        self.txns.retain(keep);
+    /// preserving order — in-place filtering, no allocation. `keep` may
+    /// update the transactions it keeps.
+    pub fn retain(&mut self, keep: impl FnMut(&mut Transaction) -> bool) {
+        self.txns.retain_mut(keep);
     }
 
     /// The filled prefix as a slice.

@@ -76,6 +76,9 @@ impl fmt::Display for SnoopResponse {
 /// operation, line-aligned address, and the combined snoop response, plus
 /// bookkeeping (global sequence number and the bus cycle at which the
 /// address tenure began).
+///
+/// One more byte rides in the struct's padding: the board's drop mask
+/// (see [`Transaction::drop_mask`]). The struct stays 32 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Transaction {
     /// Global sequence number (dense, starting at zero).
@@ -90,6 +93,8 @@ pub struct Transaction {
     pub addr: Address,
     /// The combined snoop response from all snooping caches.
     pub resp: SnoopResponse,
+    /// Bit `n` set: emulated node `n` dropped this transaction's event.
+    dropped: u8,
 }
 
 impl Transaction {
@@ -111,7 +116,22 @@ impl Transaction {
             op,
             addr,
             resp,
+            dropped: 0,
         }
+    }
+
+    /// The emulated nodes whose transaction buffer was full when this
+    /// transaction arrived, as a bitmask over node ids (bit `n` is node
+    /// `n`). Zero on every transaction the bus or a trace produces; the
+    /// board's front end sets it on the transactions it forwards to the
+    /// node controllers, which skip a dropped node's event.
+    pub const fn drop_mask(&self) -> u8 {
+        self.dropped
+    }
+
+    /// Replaces the drop mask.
+    pub fn set_drop_mask(&mut self, mask: u8) {
+        self.dropped = mask;
     }
 }
 
@@ -150,6 +170,23 @@ mod tests {
         assert!(SnoopResponse::Modified.is_intervention());
         assert!(!SnoopResponse::Null.is_intervention());
         assert!(!SnoopResponse::Retry.is_intervention());
+    }
+
+    #[test]
+    fn drop_mask_fits_in_the_padding() {
+        assert_eq!(std::mem::size_of::<Transaction>(), 32);
+        let t = Transaction::new(
+            0,
+            0,
+            ProcId::new(0),
+            BusOp::Read,
+            Address::new(0),
+            SnoopResponse::Null,
+        );
+        assert_eq!(t.drop_mask(), 0);
+        let mut forwarded = t;
+        forwarded.set_drop_mask(0b1010);
+        assert_eq!(forwarded.drop_mask(), 0b1010);
     }
 
     #[test]

@@ -223,9 +223,10 @@ impl EmulationSessionBuilder {
         self
     }
 
-    /// Number of parallel snoop shards (default 1 = serial). Values above
-    /// the board's coherence-domain count are capped; see
-    /// [`EmulationEngine`].
+    /// Number of parallel snoop shards (default 1 = serial). Above the
+    /// board's coherence-domain count, domains are divided into address
+    /// stripes, up to what their geometry allows; see
+    /// [`MemoriesBoard::split`](memories::MemoriesBoard::split).
     #[must_use]
     pub fn parallelism(mut self, shards: usize) -> Self {
         self.parallelism = shards;

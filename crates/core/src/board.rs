@@ -14,7 +14,7 @@ use crate::node::NodeController;
 use crate::params::CacheParams;
 use crate::shard::{plan_shards, NodeShard};
 use crate::stats::NodeStats;
-use crate::timing::TimingConfig;
+use crate::timing::{TimingConfig, TransactionBuffer};
 
 /// Configuration of one emulated shared-cache node (one node-controller
 /// FPGA plus its SDRAM and protocol table).
@@ -239,54 +239,81 @@ impl GlobalCounters {
 }
 
 /// The board's bus-facing stage: address filter, global event counters,
-/// and retry accounting.
+/// the node controllers' transaction buffers, and retry accounting.
 ///
 /// [`MemoriesBoard::split`] separates a board into one front end plus
 /// node shards. The front end stays with the transaction producer: it
 /// observes and filters each raw transaction exactly once (so filter and
 /// global statistics are identical to a serial run no matter how many
-/// shards snoop behind it), and accumulates the retries the board would
-/// have posted.
+/// shards snoop behind it). For every admitted transaction it runs each
+/// node's buffer model (§3.3) on the node's event, records the nodes
+/// whose full buffer dropped the event in the forwarded transaction's
+/// [`drop_mask`](Transaction::drop_mask), and posts the retry at once.
+/// Buffer timing thus sees each node's whole event stream in order, no
+/// matter how the node is divided among shards.
 #[derive(Clone, Debug)]
 pub struct BoardFrontEnd {
     filter: AddressFilter,
     global: GlobalCounters,
     allow_retry: bool,
     retries_posted: u64,
+    /// One transaction buffer per node, in node-id order.
+    buffers: Vec<TransactionBuffer>,
 }
 
 impl BoardFrontEnd {
-    /// Observes one raw bus transaction (global counters + filter) and
-    /// returns whether it is admitted to the node controllers.
-    pub fn observe(&mut self, txn: &Transaction) -> bool {
+    /// Observes one raw bus transaction (global counters, filter and, if
+    /// admitted, node buffers) and returns the transaction to forward to
+    /// the node controllers, carrying its drop mask, or `None` if the
+    /// filter dropped it. Counts a posted retry if any node's buffer was
+    /// full and the board posts retries.
+    pub fn forward(&mut self, txn: &Transaction) -> Option<Transaction> {
+        let mut forwarded = *txn;
+        self.forward_in_place(&mut forwarded).then_some(forwarded)
+    }
+
+    /// [`BoardFrontEnd::forward`] on `txn` itself: sets its drop mask
+    /// and returns whether it is forwarded.
+    #[inline]
+    fn forward_in_place(&mut self, txn: &mut Transaction) -> bool {
         self.global.observe(txn);
-        self.filter.admit(txn)
-    }
-
-    /// Observes a whole raw block and filters it **in place**: every
-    /// transaction passes through the global counters and the address
-    /// filter exactly once (identical statistics to per-transaction
-    /// observation), and the block is left holding only the admitted
-    /// transactions, in stream order, with no allocation.
-    pub fn filter_block(&mut self, block: &mut TransactionBlock) {
-        block.retain(|txn| self.observe(txn));
-    }
-
-    /// Turns a snoop's overflow flag into the bus reaction, counting the
-    /// retry if the board is configured to post one.
-    pub fn reaction(&mut self, overflow: bool) -> ListenerReaction {
-        if overflow && self.allow_retry {
-            self.retries_posted += 1;
-            ListenerReaction::Retry
-        } else {
-            ListenerReaction::Proceed
+        if !self.filter.admit(txn) {
+            return false;
         }
+        let events = self.filter.partition().event_nodes(txn);
+        let mut dropped = 0u8;
+        for (i, buffer) in self.buffers.iter_mut().enumerate() {
+            if events & (1 << i) != 0 && !buffer.arrive(txn.cycle) {
+                dropped |= 1 << i;
+            }
+        }
+        if dropped != 0 && self.allow_retry {
+            self.retries_posted += 1;
+        }
+        txn.set_drop_mask(dropped);
+        true
     }
 
-    /// Credits `overflows` transactions that overflowed some node buffer,
-    /// counting one posted retry each if the board is configured to post
-    /// them — the batched equivalent of [`BoardFrontEnd::reaction`], used
-    /// when shards report overflow after the fact.
+    /// [`BoardFrontEnd::forward`], keeping only whether the transaction
+    /// was admitted. A caller that snoops must snoop the forwarded copy,
+    /// which carries the drop mask.
+    pub fn observe(&mut self, txn: &Transaction) -> bool {
+        self.forward(txn).is_some()
+    }
+
+    /// Forwards a whole raw block **in place**: every transaction passes
+    /// through [`BoardFrontEnd::forward`] exactly once (identical
+    /// statistics to per-transaction observation), and the block is left
+    /// holding only the forwarded transactions, with their drop masks, in
+    /// stream order, with no allocation.
+    pub fn filter_block(&mut self, block: &mut TransactionBlock) {
+        block.retain(|txn| self.forward_in_place(txn));
+    }
+
+    /// Credits `overflows` further posted retries if the board posts
+    /// retries. [`BoardFrontEnd::forward`] already counts every retry the
+    /// board posts, and [`NodeShard::snoop`] reports none, so this only
+    /// adds retries a caller accounts for itself.
     pub fn record_overflows(&mut self, overflows: u64) {
         if self.allow_retry {
             self.retries_posted += overflows;
@@ -298,8 +325,7 @@ impl BoardFrontEnd {
         self.allow_retry
     }
 
-    /// Retries credited so far (live in serial operation; batched
-    /// engines credit them via [`BoardFrontEnd::record_overflows`]).
+    /// Retries posted so far.
     pub fn retries_posted(&self) -> u64 {
         self.retries_posted
     }
@@ -361,12 +387,7 @@ impl MemoriesBoard {
             .iter()
             .enumerate()
             .map(|(i, slot)| {
-                NodeController::with_timing(
-                    NodeId::new(i as u8),
-                    slot.params,
-                    slot.protocol.clone(),
-                    &config.timing,
-                )
+                NodeController::new(NodeId::new(i as u8), slot.params, slot.protocol.clone())
             })
             .collect();
         let indices = (0..nodes.len() as u8).collect();
@@ -376,50 +397,77 @@ impl MemoriesBoard {
                 global: GlobalCounters::default(),
                 allow_retry: config.allow_retry,
                 retries_posted: 0,
+                buffers: vec![TransactionBuffer::new(&config.timing); nodes.len()],
             },
             shard: NodeShard::new(partition, indices, nodes),
         })
     }
 
-    /// Separates the board into its bus-facing front end and `shards`
-    /// independent node groups for parallel snooping.
+    /// Separates the board into its bus-facing front end and up to
+    /// `shards` independent node groups for parallel snooping (at least
+    /// one).
     ///
-    /// Shards own whole coherence domains (see [`NodeShard`]), so the
-    /// effective shard count is capped at the number of domains; at least
-    /// one shard is always returned. Feed every transaction through
-    /// [`BoardFrontEnd::observe`] once, give each admitted transaction to
-    /// *every* shard's [`NodeShard::snoop`] in stream order, then rebuild
-    /// the board with [`MemoriesBoard::assemble`].
+    /// While `shards` is at most the number of coherence domains, each
+    /// shard owns whole domains. Above that, domains are divided into
+    /// address stripes and each shard owns some (domain, stripe)
+    /// clusters (see [`NodeShard`]); a single-node board can then use
+    /// several shards. The stripe count per domain is a power of two,
+    /// capped by its members' geometry, and a domain with a
+    /// random-replacement node stays whole, so fewer shards than asked
+    /// may come back. A domain whose nodes already hold lines keeps the
+    /// stripe count it has. Stripe storage moves into the shards; no
+    /// populated tag store is copied.
+    ///
+    /// Feed every transaction through [`BoardFrontEnd::filter_block`]
+    /// (or [`BoardFrontEnd::forward`]) once, give each forwarded
+    /// transaction to *every* shard's [`NodeShard::snoop`] in stream
+    /// order, then rebuild the board with [`MemoriesBoard::assemble`].
     pub fn split(self, shards: usize) -> (BoardFrontEnd, Vec<NodeShard>) {
         let partition = self.front.filter.partition().clone();
-        let piles = plan_shards(&partition, shards);
-        let mut members: Vec<Option<NodeController>> =
-            self.shard.into_members().map(|(_, n)| Some(n)).collect();
-        let shards = piles
+        let nodes: Vec<NodeController> = self.shard.into_members().map(|(_, n)| n).collect();
+        let plan = plan_shards(&partition, &nodes, shards);
+        let mut pieces: Vec<Vec<Option<NodeController>>> = nodes
             .into_iter()
-            .map(|ids| {
-                let nodes = ids
-                    .iter()
-                    .map(|i| {
-                        members[usize::from(*i)]
-                            .take()
-                            .expect("plan_shards assigns each node exactly once")
-                    })
-                    .collect();
-                NodeShard::new(partition.clone(), ids, nodes)
+            .zip(plan.maps)
+            .map(|(node, map)| node.into_stripes(map).into_iter().map(Some).collect())
+            .collect();
+        let shards = plan
+            .piles
+            .into_iter()
+            .map(|pile| {
+                let mut ids: Vec<u8> = Vec::new();
+                let mut members: Vec<NodeController> = Vec::new();
+                for (id, stripe) in pile {
+                    let piece = pieces[usize::from(id)][stripe]
+                        .take()
+                        .expect("plan_shards assigns each stripe exactly once");
+                    match members.last_mut() {
+                        Some(member) if ids.last() == Some(&id) => member
+                            .absorb(piece)
+                            .expect("pieces of one node share its stripe map"),
+                        _ => {
+                            ids.push(id);
+                            members.push(piece);
+                        }
+                    }
+                }
+                NodeShard::new(partition.clone(), ids, members)
             })
             .collect();
         (self.front, shards)
     }
 
     /// Reassembles a board from a front end and the shards produced by
-    /// [`MemoriesBoard::split`] (in any order).
+    /// [`MemoriesBoard::split`] (in any order). The stripes of a divided
+    /// node move back into one controller (no tag store is copied), and
+    /// its counters are summed with the saturation-preserving
+    /// [`NodeCounters::merge`](crate::NodeCounters::merge).
     ///
     /// # Errors
     ///
     /// Returns [`BoardError::ShardAssembly`] if the shards do not cover
-    /// the front end's partition exactly (a node missing, duplicated, or
-    /// foreign).
+    /// the front end's partition exactly (a node or stripe missing,
+    /// duplicated, or foreign).
     pub fn assemble(front: BoardFrontEnd, shards: Vec<NodeShard>) -> Result<Self, BoardError> {
         let partition = front.filter.partition().clone();
         let count = partition.node_count();
@@ -434,10 +482,11 @@ impl MemoriesBoard {
                                 "shard carries node{id} outside the {count}-node board"
                             ),
                         })?;
-                if slot.replace(node).is_some() {
-                    return Err(BoardError::ShardAssembly {
-                        detail: format!("node{id} appears in two shards"),
-                    });
+                match slot {
+                    Some(have) => have
+                        .absorb(node)
+                        .map_err(|detail| BoardError::ShardAssembly { detail })?,
+                    None => *slot = Some(node),
                 }
             }
         }
@@ -445,9 +494,10 @@ impl MemoriesBoard {
             .into_iter()
             .enumerate()
             .map(|(i, slot)| {
-                slot.ok_or_else(|| BoardError::ShardAssembly {
-                    detail: format!("node{i} missing from the assembled shards"),
-                })
+                slot.filter(NodeController::is_whole)
+                    .ok_or_else(|| BoardError::ShardAssembly {
+                        detail: format!("node{i} (or a stripe of it) missing from the shards"),
+                    })
             })
             .collect::<Result<_, _>>()?;
         let indices = (0..nodes.len() as u8).collect();
@@ -564,11 +614,15 @@ impl MemoriesBoard {
     }
 
     fn observe(&mut self, txn: &Transaction) -> ListenerReaction {
-        if !self.front.observe(txn) {
+        let Some(forwarded) = self.front.forward(txn) else {
             return ListenerReaction::Proceed;
+        };
+        self.shard.snoop(&forwarded);
+        if forwarded.drop_mask() != 0 && self.front.allow_retry {
+            ListenerReaction::Retry
+        } else {
+            ListenerReaction::Proceed
         }
-        let overflow = self.shard.snoop(txn);
-        self.front.reaction(overflow)
     }
 
     /// Batched ingest: observes every transaction of `txns` in stream
@@ -619,7 +673,7 @@ mod tests {
     use super::*;
     use crate::counters::NodeCounter;
     use memories_bus::{Address, SnoopResponse};
-    use memories_protocol::StateId;
+    use memories_protocol::{RemoteSummary, StateId};
 
     fn params(capacity: u64) -> CacheParams {
         CacheParams::builder()
@@ -906,7 +960,8 @@ mod tests {
 
     #[test]
     fn split_keeps_coherent_domains_together() {
-        // A four-node single-domain machine cannot shard below one group.
+        // A four-node single-domain machine shards by address stripe:
+        // each shard holds the same stripe of every node in the domain.
         let cfg = BoardConfig::multi_node(
             params(4096),
             (0..4)
@@ -915,8 +970,165 @@ mod tests {
         )
         .unwrap();
         let (_, shards) = MemoriesBoard::new(cfg.clone()).unwrap().split(4);
-        assert_eq!(shards.len(), 1, "one domain must stay one shard");
+        assert_eq!(shards.len(), 4, "one domain stripes over four shards");
+        for shard in &shards {
+            assert_eq!(shard.node_ids().count(), 4, "a stripe spans the domain");
+        }
         assert_split_matches_serial(cfg, 4);
+    }
+
+    /// Every line `stream` touched, probed on every node.
+    fn directory(board: &MemoriesBoard, stream: &[Transaction]) -> Vec<StateId> {
+        board
+            .nodes()
+            .flat_map(|n| stream.iter().map(|t| n.probe(t.addr)))
+            .collect()
+    }
+
+    #[test]
+    fn split_and_assemble_round_trip_keeps_every_entry() {
+        let cfg = || {
+            BoardConfig::multi_node(
+                params(4096),
+                vec![
+                    (0..4).map(ProcId::new).collect(),
+                    (4..8).map(ProcId::new).collect(),
+                ],
+            )
+            .unwrap()
+        };
+        // 96 lines over two 32-line caches: hits, evictions and remote
+        // traffic in every set, so the replacement order matters.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let stream: Vec<Transaction> = (0..3_000)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let op =
+                    [BusOp::Read, BusOp::Read, BusOp::Rwitm, BusOp::WriteBack][(x % 4) as usize];
+                txn(i, (x >> 8) as u8 % 8, op, (x >> 16) % 96 * 128)
+            })
+            .collect();
+        let (head, tail) = stream.split_at(2_000);
+        // A fresh board takes any stripe count: four, reassembled at once
+        // and then driven serially, next to a board never split.
+        let (front, parts) = MemoriesBoard::new(cfg()).unwrap().split(4);
+        assert_eq!(parts.len(), 4);
+        let mut board = MemoriesBoard::assemble(front, parts).unwrap();
+        let mut reference = MemoriesBoard::new(cfg()).unwrap();
+        for t in head {
+            board.on_transaction(t);
+            reference.on_transaction(t);
+        }
+        let want = directory(&reference, &stream);
+        let resident: Vec<u64> = reference
+            .nodes()
+            .map(NodeController::resident_lines)
+            .collect();
+        assert!(resident.iter().all(|&r| r > 0));
+        let report = reference.statistics_report();
+        assert_eq!(directory(&board, &stream), want);
+        assert_eq!(board.statistics_report(), report);
+
+        // Populated, the domain keeps its four stripes: they move into
+        // two, one or four shards and back, with nothing snooped between.
+        for (shards, parts_wanted) in [(2, 2), (1, 1), (8, 4), (4, 4)] {
+            let (front, parts) = board.split(shards);
+            assert_eq!(parts.len(), parts_wanted);
+            board = MemoriesBoard::assemble(front, parts).unwrap();
+            assert_eq!(directory(&board, &stream), want, "{shards} shards");
+            let got: Vec<u64> = board.nodes().map(NodeController::resident_lines).collect();
+            assert_eq!(got, resident, "{shards} shards");
+            assert_eq!(board.statistics_report(), report, "{shards} shards");
+        }
+
+        // The rest of the stream runs exactly as on the board never split.
+        for t in tail {
+            board.on_transaction(t);
+            reference.on_transaction(t);
+        }
+        assert_eq!(board.statistics_report(), reference.statistics_report());
+        assert_eq!(directory(&board, &stream), directory(&reference, &stream));
+    }
+
+    #[test]
+    fn snoop_block_matches_the_serial_board_at_any_stripe_count() {
+        // 256 KB, 2 ways, 128 B lines: 1024 sets. Two stripes take the
+        // branch-free pick; 128 stripes are more than one filter word
+        // lists, so every transaction goes through `snoop`'s own check.
+        let cfg = || BoardConfig::single_node(params(256 << 10), (0..8).map(ProcId::new)).unwrap();
+        let stream = mixed_stream(2_000);
+        let mut serial = MemoriesBoard::new(cfg()).unwrap();
+        for t in &stream {
+            serial.on_transaction(t);
+        }
+        for shards in [2, 128] {
+            let (mut front, mut parts) = MemoriesBoard::new(cfg()).unwrap().split(shards);
+            assert_eq!(parts.len(), shards);
+            let forwarded: Vec<Transaction> =
+                stream.iter().filter_map(|t| front.forward(t)).collect();
+            for part in &mut parts {
+                part.snoop_block(&forwarded);
+            }
+            let board = MemoriesBoard::assemble(front, parts).unwrap();
+            assert_eq!(board.statistics_report(), serial.statistics_report());
+            assert_eq!(directory(&board, &stream), directory(&serial, &stream));
+        }
+    }
+
+    #[test]
+    fn stripe_controllers_read_foreign_lines_as_invalid() {
+        let cfg = BoardConfig::single_node(params(4096), (0..8).map(ProcId::new)).unwrap();
+        let (mut front, mut shards) = MemoriesBoard::new(cfg).unwrap().split(2);
+        // With 128 B lines, lines 0 and 1 lie in stripes 0 and 1.
+        for (i, addr) in [0u64, 128].into_iter().enumerate() {
+            let t = front.forward(&txn(i as u64, 0, BusOp::Read, addr)).unwrap();
+            for shard in &mut shards {
+                assert!(!shard.snoop(&t));
+            }
+        }
+        for (j, shard) in shards.iter().enumerate() {
+            let node = shard.node(NodeId::new(0)).unwrap();
+            let (own, foreign) = if j == 0 { (0, 128) } else { (128, 0) };
+            assert!(!node.probe(Address::new(own)).is_invalid());
+            assert!(node.probe(Address::new(foreign)).is_invalid());
+            assert_eq!(node.summarize(Address::new(foreign)), RemoteSummary::None);
+            assert_eq!(node.resident_lines(), 1);
+        }
+    }
+
+    #[test]
+    fn front_end_buffer_drops_events_without_touching_state() {
+        let mut cfg = BoardConfig::single_node(params(4096), (0..8).map(ProcId::new)).unwrap();
+        cfg.timing = TimingConfig {
+            buffer_capacity: 2,
+            ..TimingConfig::default()
+        };
+        let mut b = MemoriesBoard::new(cfg).unwrap();
+        // All arrivals in the same cycle: only 2 fit.
+        let mut retries = 0;
+        for i in 0..5 {
+            let t = Transaction::new(
+                i,
+                0,
+                ProcId::new(0),
+                BusOp::Read,
+                Address::new(i * 128),
+                SnoopResponse::Null,
+            );
+            if b.on_transaction(&t) == ListenerReaction::Retry {
+                retries += 1;
+            }
+        }
+        assert_eq!(retries, 3);
+        assert_eq!(b.retries_posted(), 3);
+        let node = b.node(NodeId::new(0));
+        assert_eq!(node.counters().get(NodeCounter::BufferOverflows), 3);
+        assert_eq!(node.counters().get(NodeCounter::EventsDropped), 3);
+        assert_eq!(node.counters().get(NodeCounter::ReadMisses), 2);
+        // Dropped events changed no cache state.
+        assert_eq!(node.resident_lines(), 2);
     }
 
     #[test]

@@ -191,6 +191,38 @@ impl NodePartition {
             _ => None,
         }
     }
+    /// The nodes for which [`NodePartition::event_for`] gives `txn` an
+    /// event, as a bitmask over node ids (bit `n` is node `n`): the same
+    /// classification with one look at the operation for all nodes, for
+    /// the front end's per-transaction buffer model.
+    pub(crate) fn event_nodes(&self, txn: &Transaction) -> u8 {
+        const fn ops(list: &[BusOp]) -> u16 {
+            let mut bits = 0;
+            let mut i = 0;
+            while i < list.len() {
+                bits |= 1 << list[i].index();
+                i += 1;
+            }
+            bits
+        }
+        const ANY: u16 = ops(&[BusOp::DmaRead, BusOp::DmaWrite]);
+        const REMOTE: u16 = ANY | ops(&[BusOp::Read, BusOp::Rwitm, BusOp::DClaim, BusOp::Flush]);
+        const LOCAL: u16 = REMOTE | ops(&[BusOp::WriteBack]);
+        let op = 1u16 << txn.op.index();
+        let bit = 1u64 << txn.proc.index();
+        let mut nodes = 0;
+        for (i, (&(_, local), &domain)) in self.nodes.iter().zip(&self.domain_masks).enumerate() {
+            let events = if local & bit != 0 {
+                LOCAL
+            } else if domain & bit != 0 {
+                REMOTE
+            } else {
+                ANY
+            };
+            nodes |= u8::from(events & op != 0) << i;
+        }
+        nodes
+    }
 }
 
 /// Address filter configuration.
@@ -337,6 +369,36 @@ mod tests {
             Address::new(0x1000),
             SnoopResponse::Null,
         )
+    }
+
+    #[test]
+    fn event_nodes_agree_with_event_for() {
+        let mut remote = NodePartition::new([
+            (0u8, vec![ProcId::new(0), ProcId::new(1)]),
+            (1u8, vec![ProcId::new(0), ProcId::new(2)]),
+            (0u8, vec![ProcId::new(3)]),
+            (2u8, vec![ProcId::new(4)]),
+        ])
+        .unwrap();
+        remote.add_domain_remotes(2, [ProcId::new(5)]);
+        for p in [two_node_partition(), remote] {
+            for op in BusOp::ALL {
+                for proc in 0..10 {
+                    let txn = Transaction::new(
+                        0,
+                        0,
+                        ProcId::new(proc),
+                        op,
+                        Address::new(0),
+                        SnoopResponse::Null,
+                    );
+                    let want = (0..p.node_count())
+                        .filter(|&n| p.event_for(NodeId::new(n as u8), &txn).is_some())
+                        .fold(0u8, |mask, n| mask | 1 << n);
+                    assert_eq!(p.event_nodes(&txn), want, "{op:?} from cpu{proc}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! * [`TagStore`] + [`ReplacementPolicy`] — the SDRAM tag/state tables
 //!   with LRU / FIFO / random / tree-PLRU victim selection.
 //! * [`NodeController`] — one emulated shared-cache node: protocol engine,
-//!   counters, 512-entry transaction buffer, SDRAM service-rate model.
+//!   counters, and its tag store, whole or divided into address stripes.
+//! * [`BoardFrontEnd`] — address filter, global counters, and each node's
+//!   512-entry transaction buffer with the SDRAM service-rate model.
 //! * [`AddressFilter`] / [`NodePartition`] — transaction filtering and
 //!   CPU-id to emulated-node mapping.
 //! * [`MemoriesBoard`] — the assembled board; a

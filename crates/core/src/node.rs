@@ -1,29 +1,29 @@
 //! The node controller: one emulated shared-cache node.
 //!
 //! §3.1: each of the four SMP node controller FPGAs emulates a shared L2,
-//! L3, or remote cache, driving its tag/state/LRU tables in SDRAM through
-//! a 512-entry transaction buffer, under a protocol loaded as a
-//! state-transition table.
+//! L3, or remote cache, driving its tag/state/LRU tables in SDRAM under a
+//! protocol loaded as a state-transition table. The 512-entry transaction
+//! buffer in front of the SDRAM is modelled by the board's front end
+//! ([`BoardFrontEnd`](crate::BoardFrontEnd)), which sees every event of
+//! every node in stream order.
 
 use std::fmt;
 
-use memories_bus::{Address, LineAddr, NodeId, SnoopResponse};
+use memories_bus::{Address, Geometry, LineAddr, NodeId, SnoopResponse};
 use memories_protocol::{AccessEvent, Action, ActionSet, ProtocolTable, RemoteSummary, StateId};
 
 use crate::counters::{NodeCounter, NodeCounters};
 use crate::params::CacheParams;
+use crate::replacement::ReplacementPolicy;
+use crate::shard::StripeMap;
 use crate::stats::NodeStats;
 use crate::tagstore::TagStore;
-use crate::timing::{TimingConfig, TransactionBuffer};
 
 /// What one event did to a node controller.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeOutcome {
     /// The classified event.
     pub event: AccessEvent,
-    /// Whether the node's transaction buffer accepted the event (a full
-    /// buffer drops it and requests a bus retry).
-    pub accepted: bool,
     /// Whether the line was resident before the transition (for demand
     /// events this is the hit/miss verdict).
     pub hit: bool,
@@ -45,6 +45,7 @@ struct ColdTracker {
 
 impl ColdTracker {
     const MAX_WORDS: usize = 1 << 25; // 2^31 bits = 256 MiB of bitmap at most
+    const MAX_LINES: u64 = Self::MAX_WORDS as u64 * 64;
 
     /// Marks `line` touched; returns `true` if this was its first touch.
     fn first_touch(&mut self, line: LineAddr) -> bool {
@@ -63,8 +64,80 @@ impl ColdTracker {
     }
 }
 
-/// One emulated shared-cache node: tag store, protocol engine, counters,
-/// and ingress-buffer timing model.
+/// One address stripe of a node: the tag store and the first-touch
+/// record of the lines in the stripe, keyed by stripe-local line number.
+#[derive(Clone, Debug)]
+struct Stripe {
+    tags: TagStore,
+    cold: ColdTracker,
+}
+
+impl Stripe {
+    /// An empty stripe of geometry `geom`.
+    fn new(geom: Geometry, policy: ReplacementPolicy) -> Self {
+        Stripe {
+            tags: TagStore::with_geometry(geom, policy),
+            cold: ColdTracker::default(),
+        }
+    }
+}
+
+/// A node's stripe slots, indexed by stripe (`None`: held elsewhere).
+/// Slot 0 is kept inline, so a whole node reaches its one store without
+/// an extra pointer hop.
+#[derive(Clone, Debug)]
+struct Stripes {
+    first: Option<Stripe>,
+    rest: Vec<Option<Stripe>>,
+}
+
+impl Stripes {
+    /// `count` empty slots.
+    fn empty(count: usize) -> Self {
+        Stripes {
+            first: None,
+            rest: (1..count).map(|_| None).collect(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        1 + self.rest.len()
+    }
+
+    fn slot(&self, j: usize) -> &Option<Stripe> {
+        if j == 0 {
+            &self.first
+        } else {
+            &self.rest[j - 1]
+        }
+    }
+
+    fn slot_mut(&mut self, j: usize) -> &mut Option<Stripe> {
+        if j == 0 {
+            &mut self.first
+        } else {
+            &mut self.rest[j - 1]
+        }
+    }
+
+    fn slots(&self) -> impl Iterator<Item = &Option<Stripe>> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+
+    fn into_slots(self) -> impl Iterator<Item = Option<Stripe>> {
+        std::iter::once(self.first).chain(self.rest)
+    }
+}
+
+/// One emulated shared-cache node: tag store, protocol engine and
+/// counters.
+///
+/// The tag store is kept as one or more *address stripes* (DESIGN.md
+/// §11). A controller built with [`NodeController::new`] has one stripe,
+/// the whole store. [`MemoriesBoard::split`](crate::MemoriesBoard::split)
+/// may divide a node into several stripes owned by different shards; such
+/// a stripe controller holds only some stripes and reads every line
+/// outside them as absent.
 ///
 /// # Examples
 ///
@@ -79,7 +152,7 @@ impl ColdTracker {
 /// let out = node.process(AccessEvent::LocalRead, Address::new(0x1000), 0,
 ///                        RemoteSummary::None);
 /// assert!(!out.hit); // cold miss
-/// assert!(out.accepted);
+/// assert_eq!(node.resident_lines(), 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -88,33 +161,25 @@ pub struct NodeController {
     id: NodeId,
     params: CacheParams,
     protocol: ProtocolTable,
-    tags: TagStore,
     counters: NodeCounters,
-    buffer: TransactionBuffer,
-    cold: ColdTracker,
+    /// How lines map to stripes; `stripes` has one slot per stripe.
+    map: StripeMap,
+    stripes: Stripes,
 }
 
 impl NodeController {
-    /// Creates a node controller with default timing.
+    /// Creates a node controller holding its whole tag store.
     pub fn new(id: NodeId, params: CacheParams, protocol: ProtocolTable) -> Self {
-        Self::with_timing(id, params, protocol, &TimingConfig::default())
-    }
-
-    /// Creates a node controller with explicit timing parameters.
-    pub fn with_timing(
-        id: NodeId,
-        params: CacheParams,
-        protocol: ProtocolTable,
-        timing: &TimingConfig,
-    ) -> Self {
         NodeController {
             id,
-            tags: TagStore::new(&params),
+            stripes: Stripes {
+                first: Some(Stripe::new(*params.geometry(), params.replacement())),
+                rest: Vec::new(),
+            },
             params,
             protocol,
             counters: NodeCounters::new(),
-            buffer: TransactionBuffer::new(timing),
-            cold: ColdTracker::default(),
+            map: StripeMap::WHOLE,
         }
     }
 
@@ -143,14 +208,14 @@ impl NodeController {
         NodeStats::from_counters(self.counters.clone())
     }
 
-    /// The tag store (read-only; for directory inspection).
-    pub fn tag_store(&self) -> &TagStore {
-        &self.tags
-    }
-
-    /// The ingress buffer model.
-    pub fn buffer(&self) -> &TransactionBuffer {
-        &self.buffer
+    /// Number of resident (non-invalid) lines in the stripes this
+    /// controller holds.
+    pub fn resident_lines(&self) -> u64 {
+        self.stripes
+            .slots()
+            .flatten()
+            .map(|s| s.tags.resident_lines())
+            .sum()
     }
 
     /// Resets counters (the console's clear-statistics command). Cache
@@ -161,9 +226,30 @@ impl NodeController {
     }
 
     /// The protocol state the node's directory currently holds for the
-    /// line containing `addr`.
+    /// line containing `addr` ([`StateId::INVALID`] if the line is absent
+    /// or lies in a stripe this controller does not hold).
     pub fn probe(&self, addr: Address) -> StateId {
-        self.tags.state(self.params.geometry().line_addr(addr))
+        let line = self.params.geometry().line_addr(addr);
+        self.locate(line)
+            .map_or(StateId::INVALID, |(s, local)| s.tags.state(local))
+    }
+
+    /// The index of the stripe holding `line`, if this controller holds
+    /// it, and the line's number within that stripe. A whole node skips
+    /// the stripe arithmetic.
+    fn locate_index(&self, line: LineAddr) -> Option<(usize, LineAddr)> {
+        let (j, local) = if self.stripes.len() == 1 {
+            (0, line)
+        } else {
+            (self.map.stripe(line), self.map.local(line))
+        };
+        self.stripes.slot(j).is_some().then_some((j, local))
+    }
+
+    /// The held stripe containing `line` and the line's number in it.
+    fn locate(&self, line: LineAddr) -> Option<(&Stripe, LineAddr)> {
+        let (j, local) = self.locate_index(line)?;
+        self.stripes.slot(j).as_ref().map(|s| (s, local))
     }
 
     /// The remote summary this node would report to a sibling node for
@@ -191,34 +277,41 @@ impl NodeController {
     /// `resp` is the transaction's combined host snoop response, used to
     /// classify where an L2 miss was satisfied (Figure 12): an L2-to-L2
     /// intervention wins over the emulated L3, which wins over memory.
+    ///
+    /// The controller has no timing of its own (ingress-buffer overflow
+    /// is decided by the board's front end before an event gets here), so
+    /// every event is applied; `cycle` does not affect the outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` lies in a stripe this controller does not hold,
+    /// which only a shard's stripe controllers can be asked about.
     pub fn process_with_resp(
         &mut self,
         event: AccessEvent,
         addr: Address,
-        cycle: u64,
+        _cycle: u64,
         remote: RemoteSummary,
         resp: SnoopResponse,
     ) -> NodeOutcome {
-        let line = self.params.geometry().line_addr(addr);
+        let global = self.params.geometry().line_addr(addr);
+        let (j, line) = self
+            .locate_index(global)
+            .expect("the line's stripe is held by this controller");
+        let stripe = self
+            .stripes
+            .slot_mut(j)
+            .as_mut()
+            .expect("locate_index checked it");
         // One tag probe per event: every later read and update of the
         // line's entry goes through this slot.
-        let slot = self.tags.find(line);
-        let state = slot.map_or(StateId::INVALID, |slot| self.tags.state_at(slot));
-        if !self.buffer.arrive(cycle) {
-            self.counters.incr(NodeCounter::BufferOverflows);
-            self.counters.incr(NodeCounter::EventsDropped);
-            return NodeOutcome {
-                event,
-                accepted: false,
-                hit: false,
-                actions: ActionSet::EMPTY,
-                next: state,
-            };
-        }
-
+        let slot = stripe.tags.find(line);
+        let state = slot.map_or(StateId::INVALID, |slot| stripe.tags.state_at(slot));
         let hit = slot.is_some();
         let transition = self.protocol.lookup(event, state, remote);
-        let first_touch = self.cold.first_touch(line);
+        // The cap applies to the node's own line number, so a stripe
+        // counts exactly the cold misses the whole node would.
+        let first_touch = global.value() < ColdTracker::MAX_LINES && stripe.cold.first_touch(line);
 
         // Figure 12 classification: where is this L2 miss satisfied?
         if matches!(event, AccessEvent::LocalRead | AccessEvent::LocalWrite) {
@@ -296,18 +389,18 @@ impl NodeController {
         // State application.
         match slot {
             Some(slot) if transition.next.is_invalid() => {
-                self.tags.invalidate_at(slot);
+                stripe.tags.invalidate_at(slot);
             }
             Some(slot) => {
-                self.tags.set_state_at(slot, transition.next);
+                stripe.tags.set_state_at(slot, transition.next);
                 if event.is_demand() {
-                    self.tags.touch_at(slot);
+                    stripe.tags.touch_at(slot);
                 }
             }
             None if !transition.next.is_invalid()
                 && transition.actions.contains(Action::Allocate) =>
             {
-                if let Some(victim) = self.tags.allocate_absent(line, transition.next) {
+                if let Some(victim) = stripe.tags.allocate_absent(line, transition.next) {
                     self.counters.incr(NodeCounter::VictimEvictions);
                     if self.protocol.is_dirty_state(victim.state) {
                         self.counters.incr(NodeCounter::VictimWritebacks);
@@ -320,11 +413,134 @@ impl NodeController {
 
         NodeOutcome {
             event,
-            accepted: true,
             hit,
             actions: transition.actions,
             next: transition.next,
         }
+    }
+
+    /// Whether the line containing `addr` lies in a stripe this
+    /// controller holds.
+    pub(crate) fn holds(&self, addr: Address) -> bool {
+        self.locate_index(self.params.geometry().line_addr(addr))
+            .is_some()
+    }
+
+    /// Counts an event the front end dropped because this node's
+    /// transaction buffer was full. No state changes.
+    pub(crate) fn count_drop(&mut self) {
+        self.counters.incr(NodeCounter::BufferOverflows);
+        self.counters.incr(NodeCounter::EventsDropped);
+    }
+
+    /// How this node's lines map to stripes.
+    pub(crate) fn stripe_map(&self) -> StripeMap {
+        self.map
+    }
+
+    /// The stripes this controller holds, ascending.
+    pub(crate) fn held_stripes(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.stripes.len()).filter(|&j| self.stripes.slot(j).is_some())
+    }
+
+    /// Whether this controller holds every stripe of its node.
+    pub(crate) fn is_whole(&self) -> bool {
+        self.stripes.slots().all(Option::is_some)
+    }
+
+    /// The node's line size in address bits.
+    pub(crate) fn line_bits(&self) -> u32 {
+        self.params.geometry().line_size().trailing_zeros()
+    }
+
+    /// How many stripes of `2^granule_bits`-byte granules this node can
+    /// be divided into: the stripe bits must lie inside its set-index
+    /// bits. A random-replacement node stays whole, because its victim
+    /// draws come from one store-wide sequence.
+    pub(crate) fn stripe_cap(&self, granule_bits: u32) -> usize {
+        if self.params.replacement() == ReplacementPolicy::Random {
+            return 1;
+        }
+        let way_bits = self.line_bits() + self.params.geometry().sets().trailing_zeros();
+        1 << way_bits.saturating_sub(granule_bits)
+    }
+
+    /// Whether the node holds no line and has recorded no first touch, so
+    /// it can be divided into a different number of stripes for free.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.stripes
+            .slots()
+            .flatten()
+            .all(|s| s.tags.resident_lines() == 0 && s.cold.bits.is_empty())
+    }
+
+    /// Breaks a whole node into one controller per stripe of `map`, in
+    /// stripe order. The first carries the node's counters and the others
+    /// start at zero, so the pieces' counters sum to the node's.
+    ///
+    /// If `map` is the node's current map the stripes move as they are.
+    /// Otherwise the node must be empty: its stores are freed and fresh
+    /// ones of `1 / count` the size are allocated, so no populated tag
+    /// store is ever copied.
+    pub(crate) fn into_stripes(self, map: StripeMap) -> Vec<NodeController> {
+        debug_assert!(self.is_whole());
+        let stripes: Vec<Option<Stripe>> = if map == self.map {
+            self.stripes.into_slots().collect()
+        } else {
+            assert!(self.is_empty(), "only an empty node changes stripe count");
+            // Free the old stores first, so the allocator can reuse them.
+            drop(self.stripes);
+            let geom = self.params.geometry();
+            let share = Geometry::new(
+                geom.capacity() / map.count() as u64,
+                geom.ways(),
+                geom.line_size(),
+            )
+            .expect("the stripe cap keeps every stripe a whole number of sets");
+            (0..map.count())
+                .map(|_| Some(Stripe::new(share, self.params.replacement())))
+                .collect()
+        };
+        let count = stripes.len();
+        let mut counters = Some(self.counters);
+        stripes
+            .into_iter()
+            .enumerate()
+            .map(|(j, stripe)| {
+                let mut slots = Stripes::empty(count);
+                *slots.slot_mut(j) = stripe;
+                NodeController {
+                    id: self.id,
+                    params: self.params,
+                    protocol: self.protocol.clone(),
+                    counters: counters.take().unwrap_or_default(),
+                    map,
+                    stripes: slots,
+                }
+            })
+            .collect()
+    }
+
+    /// Folds another piece of the same node into this one: moves its
+    /// stripes in and adds its counters with [`NodeCounters::merge`].
+    ///
+    /// # Errors
+    ///
+    /// Describes the conflict if the pieces stripe the node differently
+    /// or both hold the same stripe.
+    pub(crate) fn absorb(&mut self, other: NodeController) -> Result<(), String> {
+        if other.map != self.map {
+            return Err(format!("{} pieces disagree on the stripe map", self.id));
+        }
+        for (j, stripe) in other.stripes.into_slots().enumerate() {
+            if let Some(stripe) = stripe {
+                if self.stripes.slot_mut(j).replace(stripe).is_some() {
+                    return Err(format!("stripe {j} of {} appears twice", self.id));
+                }
+            }
+        }
+        self.counters.merge(&other.counters);
+        Ok(())
     }
 }
 
@@ -334,7 +550,8 @@ impl fmt::Debug for NodeController {
             .field("id", &self.id)
             .field("params", &self.params.to_string())
             .field("protocol", &self.protocol.name())
-            .field("resident", &self.tags.resident_lines())
+            .field("stripes", &self.map.count())
+            .field("resident", &self.resident_lines())
             .finish()
     }
 }
@@ -463,33 +680,6 @@ mod tests {
         n.process(AccessEvent::LocalRead, addr(32), 0, RemoteSummary::None);
         assert_eq!(n.counters().get(NodeCounter::VictimEvictions), 1);
         assert_eq!(n.counters().get(NodeCounter::VictimWritebacks), 1);
-    }
-
-    #[test]
-    fn buffer_overflow_drops_events() {
-        let params = CacheParams::builder()
-            .capacity(4 * 1024)
-            .ways(2)
-            .allow_scaled_down()
-            .build()
-            .unwrap();
-        let timing = TimingConfig {
-            buffer_capacity: 2,
-            ..TimingConfig::default()
-        };
-        let mut n = NodeController::with_timing(NodeId::new(0), params, standard::mesi(), &timing);
-        // All arrivals in the same cycle: only 2 fit.
-        let mut dropped = 0;
-        for i in 0..5 {
-            let out = n.process(AccessEvent::LocalRead, addr(i), 0, RemoteSummary::None);
-            if !out.accepted {
-                dropped += 1;
-            }
-        }
-        assert_eq!(dropped, 3);
-        assert_eq!(n.counters().get(NodeCounter::BufferOverflows), 3);
-        // Dropped events changed no cache state.
-        assert_eq!(n.tag_store().resident_lines(), 2);
     }
 
     #[test]

@@ -44,7 +44,10 @@ pub struct BoardSnapshot {
 impl BoardSnapshot {
     /// Assembles a snapshot from a front-end view plus per-shard node
     /// reports `(node id, counters)` — the parallel engine's path. Parts
-    /// may arrive in any order; missing nodes read as zero banks.
+    /// may arrive in any order; missing nodes read as zero banks. A node
+    /// divided into address stripes reports once per stripe controller,
+    /// and its parts are summed with the saturation-preserving
+    /// [`NodeCounters::merge`].
     pub fn assemble<I>(
         global: GlobalCounters,
         filter: FilterStats,
@@ -58,7 +61,7 @@ impl BoardSnapshot {
         let mut nodes = vec![NodeCounters::new(); node_count];
         for (id, counters) in parts {
             if let Some(slot) = nodes.get_mut(usize::from(id)) {
-                *slot = counters;
+                slot.merge(&counters);
             }
         }
         BoardSnapshot {
@@ -110,6 +113,32 @@ mod tests {
         assert_eq!(snap.nodes[1].get(NodeCounter::ReadHits), 0);
         assert_eq!(snap.nodes[2].get(NodeCounter::ReadMisses), 7);
         assert_eq!(snap.node_stats(2).demand_misses(), 7);
+    }
+
+    #[test]
+    fn assemble_sums_the_stripes_of_a_node_keeping_saturation() {
+        use crate::counters::Counter40;
+        // Node 0 reports from two stripe controllers. One stripe's hit
+        // counter saturated; the sum lands exactly on the ceiling.
+        let mut saturated = NodeCounters::new();
+        saturated.add(NodeCounter::ReadHits, Counter40::MAX + 1);
+        saturated.add(NodeCounter::ReadMisses, 2);
+        let mut stripe = NodeCounters::new();
+        stripe.add(NodeCounter::ReadMisses, 4);
+        let mut other = NodeCounters::new();
+        other.add(NodeCounter::ReadMisses, 3);
+        let snap = BoardSnapshot::assemble(
+            GlobalCounters::default(),
+            FilterStats::default(),
+            0,
+            2,
+            vec![(0, saturated), (1, other), (0, stripe)],
+        );
+        let hits = snap.nodes[0].counter(NodeCounter::ReadHits);
+        assert_eq!(hits.value(), Counter40::MAX);
+        assert!(hits.saturated(), "summing stripes dropped the saturation");
+        assert_eq!(snap.nodes[0].get(NodeCounter::ReadMisses), 6);
+        assert_eq!(snap.nodes[1].get(NodeCounter::ReadMisses), 3);
     }
 
     #[test]

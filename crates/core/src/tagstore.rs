@@ -33,7 +33,13 @@ const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
 /// same set evicts it. Using a stale slot reads or writes whatever the way
 /// holds by then.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TagSlot(usize);
+pub struct TagSlot {
+    /// Index into the entry array.
+    entry: usize,
+    /// The entry's set and way, as the probe found them.
+    set: usize,
+    way: u32,
+}
 
 /// The tag, state, and replacement-metadata tables of one emulated cache
 /// node — the structure the board keeps in four 64 MB SDRAM DIMMs per node
@@ -90,9 +96,13 @@ fn entry_state(entry: u64) -> StateId {
 impl TagStore {
     /// Creates an empty tag store for the given parameters.
     pub fn new(params: &CacheParams) -> Self {
-        let geom = *params.geometry();
+        Self::with_geometry(*params.geometry(), params.replacement())
+    }
+
+    /// Creates an empty tag store of any geometry (an address stripe's
+    /// share of a node's store is smaller than `CacheParams` allows).
+    pub(crate) fn with_geometry(geom: Geometry, policy: ReplacementPolicy) -> Self {
         let n = geom.lines() as usize;
-        let policy = params.replacement();
         TagStore {
             geom,
             policy,
@@ -122,40 +132,45 @@ impl TagStore {
         self.resident
     }
 
-    /// The first entry index of `line`'s set and the line's tag, shifted
-    /// into entry position.
-    fn set_base_and_key(&self, line: LineAddr) -> (usize, u64) {
+    /// `line`'s set, the first entry index of that set, and the line's
+    /// tag shifted into entry position.
+    fn set_base_and_key(&self, line: LineAddr) -> (usize, usize, u64) {
         let tag = self.geom.tag(line);
         debug_assert!(
             tag >> (u64::BITS - STATE_BITS) == 0,
             "line {line:?} is wider than this store's geometry allows"
         );
-        let base = self.geom.set_index(line) * self.geom.ways() as usize;
-        (base, tag << STATE_BITS)
+        let set = self.geom.set_index(line);
+        (set, set * self.geom.ways() as usize, tag << STATE_BITS)
     }
 
     /// Finds `line`'s entry: the single tag probe every other access
     /// builds on. `None` if the line is absent.
+    #[inline]
     pub fn find(&self, line: LineAddr) -> Option<TagSlot> {
-        let (base, key) = self.set_base_and_key(line);
+        let (set, base, key) = self.set_base_and_key(line);
         let ways = self.geom.ways() as usize;
         // `entry ^ key` is 1..=7 exactly when the tags match and the
         // state is not 0, so one compare tests both.
         self.entries[base..base + ways]
             .iter()
             .position(|&entry| (entry ^ key).wrapping_sub(1) < STATE_MASK)
-            .map(|way| TagSlot(base + way))
+            .map(|way| TagSlot {
+                entry: base + way,
+                set,
+                way: way as u32,
+            })
     }
 
     /// The protocol state of the entry at `slot`.
     pub fn state_at(&self, slot: TagSlot) -> StateId {
-        entry_state(self.entries[slot.0])
+        entry_state(self.entries[slot.entry])
     }
 
     /// Sets the state of the entry at `slot`, returning the previous
     /// state. A transition to state 0 frees the entry.
     pub fn set_state_at(&mut self, slot: TagSlot, state: StateId) -> StateId {
-        let entry = &mut self.entries[slot.0];
+        let entry = &mut self.entries[slot.entry];
         let old = entry_state(*entry);
         debug_assert!(!old.is_invalid(), "slot {slot:?} is not resident");
         *entry = (*entry & !STATE_MASK) | u64::from(state.value());
@@ -177,7 +192,7 @@ impl TagStore {
             self.policy,
             ReplacementPolicy::Lru | ReplacementPolicy::PlruBits
         ) {
-            self.record_use(slot.0);
+            self.record_use(slot.set, slot.way);
         }
     }
 
@@ -195,32 +210,31 @@ impl TagStore {
             "cannot allocate into the invalid state"
         );
         debug_assert!(self.find(line).is_none(), "line {line:?} is resident");
-        let (base, key) = self.set_base_and_key(line);
+        let (set, base, key) = self.set_base_and_key(line);
         let ways = self.geom.ways() as usize;
 
         // Prefer a free way.
         let free = self.entries[base..base + ways]
             .iter()
             .position(|&entry| entry & STATE_MASK == 0);
-        let (i, victim) = match free {
+        let (way, victim) = match free {
             Some(way) => {
                 self.resident += 1;
-                (base + way, None)
+                (way, None)
             }
             None => {
-                let set = self.geom.set_index(line);
-                let i = base + self.victim_way(set);
-                let entry = self.entries[i];
+                let way = self.victim_way(set);
+                let entry = self.entries[base + way];
                 let victim = EvictedLine {
                     line: self.geom.line_from_parts(entry >> STATE_BITS, set),
                     state: entry_state(entry),
                 };
-                (i, Some(victim))
+                (way, Some(victim))
             }
         };
 
-        self.entries[i] = key | u64::from(state.value());
-        self.record_use(i);
+        self.entries[base + way] = key | u64::from(state.value());
+        self.record_use(set, way as u32);
         victim
     }
 
@@ -237,12 +251,11 @@ impl TagStore {
         way as usize
     }
 
-    /// Makes entry `i` the most recent use of its set in the replacement
+    /// Makes `way` the most recent use of `set` in the replacement
     /// history (a fill under every policy but random; a touch under LRU
     /// and PLRU).
-    fn record_use(&mut self, i: usize) {
+    fn record_use(&mut self, set: usize, way: u32) {
         let ways = self.geom.ways();
-        let (set, way) = (i / ways as usize, (i % ways as usize) as u32);
         match self.policy {
             ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
                 self.history[set] = rank_touch(self.history[set], way, ways);
@@ -255,6 +268,7 @@ impl TagStore {
     }
 
     /// The protocol state of `line` ([`StateId::INVALID`] if absent).
+    #[inline]
     pub fn state(&self, line: LineAddr) -> StateId {
         self.find(line)
             .map_or(StateId::INVALID, |slot| self.state_at(slot))

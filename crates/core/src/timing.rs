@@ -7,6 +7,10 @@
 //! logic." The node controllers hold 512 buffer entries; if they ever
 //! fill, the address filter posts a retry on the bus — which, in months of
 //! lab use at 2–20% utilization, never happened.
+//!
+//! The board's front end ([`BoardFrontEnd`](crate::BoardFrontEnd)) runs
+//! one [`TransactionBuffer`] per node controller, on that node's events in
+//! stream order, and marks the events a full buffer drops.
 
 use std::fmt;
 
@@ -77,7 +81,8 @@ pub struct TransactionBuffer {
     /// Current occupancy in micro-entries (≤ capacity · 10⁶).
     occupancy_micro: u64,
     last_cycle: u64,
-    peak: usize,
+    /// Highest occupancy reached, in micro-entries.
+    peak_micro: u64,
     overflows: u64,
 }
 
@@ -98,7 +103,7 @@ impl TransactionBuffer {
             },
             occupancy_micro: 0,
             last_cycle: 0,
-            peak: 0,
+            peak_micro: 0,
             overflows: 0,
         }
     }
@@ -106,22 +111,20 @@ impl TransactionBuffer {
     /// Registers an event arriving at bus cycle `cycle`. Returns `false`
     /// on overflow (the event was not buffered).
     pub fn arrive(&mut self, cycle: u64) -> bool {
-        // Drain since the last arrival. The 128-bit product keeps huge
+        // Drain since the last arrival. A product beyond 64 bits drains
+        // more than any occupancy, so the saturating product keeps huge
         // idle gaps (cycle deltas up to 2^64) exact.
         if cycle > self.last_cycle {
-            let drained =
-                u128::from(cycle - self.last_cycle) * u128::from(self.drain_micro_per_cycle);
-            self.occupancy_micro = u128::from(self.occupancy_micro)
-                .saturating_sub(drained)
-                .min(u128::from(u64::MAX)) as u64;
+            let drained = (cycle - self.last_cycle).saturating_mul(self.drain_micro_per_cycle);
+            self.occupancy_micro = self.occupancy_micro.saturating_sub(drained);
+            self.last_cycle = cycle;
         }
-        self.last_cycle = self.last_cycle.max(cycle);
         if self.occupancy_micro + MICRO > self.capacity as u64 * MICRO {
             self.overflows += 1;
             return false;
         }
         self.occupancy_micro += MICRO;
-        self.peak = self.peak.max(self.occupancy());
+        self.peak_micro = self.peak_micro.max(self.occupancy_micro);
         true
     }
 
@@ -130,9 +133,9 @@ impl TransactionBuffer {
         (self.occupancy_micro.div_ceil(MICRO)) as usize
     }
 
-    /// Highest occupancy ever reached.
+    /// Highest occupancy ever reached, rounded up.
     pub fn peak_occupancy(&self) -> usize {
-        self.peak
+        self.peak_micro.div_ceil(MICRO) as usize
     }
 
     /// Number of arrivals rejected because the buffer was full.
@@ -148,7 +151,7 @@ impl fmt::Display for TransactionBuffer {
             "buffer: {}/{} (peak {}, overflows {})",
             self.occupancy(),
             self.capacity,
-            self.peak,
+            self.peak_occupancy(),
             self.overflows
         )
     }

@@ -19,7 +19,7 @@
 //!   [`MemoriesBoard::snapshot`].
 //! * [`EmulationEngine`] — serial or sharded-parallel; `barrier` is a
 //!   snapshot barrier (flush the partial batch, collect per-shard counter
-//!   reports, merge overflow masks).
+//!   reports and sum them per node).
 //!
 //! Both produce bit-identical counters for the same stream, which the
 //! `memories-verify` differential fuzzer cross-checks continuously.
@@ -78,8 +78,7 @@ pub trait ExecutionBackend {
     ///
     /// # Errors
     ///
-    /// Backend-specific; the sharded engine reports diverged shard
-    /// overflow-mask lists (retry accounting can no longer be trusted).
+    /// Backend-specific; neither backend in this crate fails today.
     fn barrier(&mut self) -> Result<BoardSnapshot, Error>;
 
     /// Flushes everything, tears the backend down, and returns the final

@@ -1,19 +1,20 @@
 //! The sharded emulation engine: one transaction stream, N node shards.
 //!
 //! The physical board keeps up with the bus because its four node
-//! controllers are parallel hardware; this engine recovers that
-//! parallelism in software. A producer thread observes and filters every
-//! transaction exactly once through the board's [`BoardFrontEnd`], packs
-//! the admitted ones into fixed-size batches, and broadcasts each batch
-//! to worker threads that each own one [`NodeShard`] (a whole-domain
-//! group of node controllers — see `memories::NodeShard` for why that
-//! makes per-shard snooping exact). Workers record which transactions of
-//! each batch overflowed a node buffer as a bitmask; the masks are
-//! OR-merged across shards and popcounted, giving exactly the retry
-//! count the serial board would have posted, and at [`finish`] the
-//! shards are reassembled into a [`MemoriesBoard`] whose every counter
-//! and directory entry is **bit-identical** to a serial run of the same
-//! stream.
+//! controllers are parallel hardware, each spreading its tables over four
+//! SDRAM DIMMs; this engine recovers that parallelism in software. A
+//! producer thread passes every transaction exactly once through the
+//! board's [`BoardFrontEnd`], which filters it, runs each node's
+//! transaction-buffer model and posts any retry on the spot, packs the
+//! forwarded ones (each carrying the mask of nodes that dropped it) into
+//! fixed-size batches, and broadcasts each batch to worker threads that
+//! each own one [`NodeShard`]: whole coherence domains, or one address
+//! stripe of a domain when more shards are asked for than there are
+//! domains (see `memories::NodeShard` for why either makes per-shard
+//! snooping exact). Retry accounting never leaves the producer, and at
+//! [`finish`] the shards are reassembled into a [`MemoriesBoard`] whose
+//! every counter and directory entry is **bit-identical** to a serial run
+//! of the same stream.
 //!
 //! # Online monitoring
 //!
@@ -22,15 +23,12 @@
 //! automatic sampling via [`sample_every`]) flushes the partial batch and
 //! sends every worker a snapshot request over the same queue as the
 //! batches. Because each worker processes its queue in order, its reply —
-//! a copy of its node counters plus the overflow masks accumulated since
-//! the last barrier — reflects exactly the admitted stream so far, and
-//! the engine assembles the replies with the front end's own counters
-//! into a [`BoardSnapshot`] that is bit-identical to what a serial board
-//! would show at the same stream position. Overflow masks are index-
-//! aligned across workers (every worker sees the same batch sequence),
-//! so each barrier OR-merges and popcounts just the masks since the
-//! previous one: retry accounting stays exact *and* incremental, and no
-//! engine-side structure grows with trace length.
+//! a copy of its members' counters — reflects exactly the admitted stream
+//! so far, and the engine assembles the replies (summing the stripes of a
+//! divided node) with the front end's own counters and retry count into a
+//! [`BoardSnapshot`] that is bit-identical to what a serial board would
+//! show at the same stream position. Nothing the engine keeps grows with
+//! trace length.
 //!
 //! Barriers change where batches end (the partial batch is flushed), but
 //! results are batch-size-invariant, so a monitored run's final board is
@@ -38,8 +36,8 @@
 //!
 //! The engine consumes an already-recorded transaction stream (replay,
 //! synthetic generators, capture files). It cannot feed retries back into
-//! a live host bus — batching makes the reaction available only after the
-//! fact — which matches the board's healthy operating point of zero
+//! a live host bus — the host has moved on by the time a batch is
+//! snooped — which matches the board's healthy operating point of zero
 //! retries (§3.3); the count is still exact.
 //!
 //! [`finish`]: EmulationEngine::finish
@@ -62,9 +60,11 @@ pub enum EngineMode {
     /// Snoop in the calling thread, exactly like
     /// [`MemoriesBoard::on_transaction`](memories_bus::BusListener).
     Serial,
-    /// Fan admitted transactions out to up to `shards` worker threads.
-    /// The effective count is capped at the board's coherence-domain
-    /// count (a domain cannot be split).
+    /// Fan admitted transactions out to up to `shards` worker threads:
+    /// whole coherence domains while `shards` is at most the domain
+    /// count, address stripes of domains above it. The effective count
+    /// is what [`MemoriesBoard::split`] returns (it can be lower when a
+    /// domain's geometry or replacement policy limits striping).
     Parallel {
         /// Requested worker count.
         shards: usize,
@@ -119,48 +119,13 @@ pub struct MonitorReport {
     pub telemetry: EngineTelemetry,
 }
 
-/// Per-batch overflow bitmask: bit `i` set means batch transaction `i`
-/// overflowed some node buffer in the reporting shard.
-type OverflowMask = Vec<u64>;
-
-fn mask_for(len: usize) -> OverflowMask {
-    vec![0u64; len.div_ceil(64)]
-}
-
-/// Two shards reported overflow-mask lists of different lengths at a
-/// merge point — the workers disagreed about how many batches they saw,
-/// which means retry accounting can no longer be trusted.
-#[derive(Debug)]
-struct MaskMismatch {
-    expected: usize,
-    got: usize,
-}
-
-impl fmt::Display for MaskMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "shard overflow-mask lists diverged: expected {} batches, a shard reported {}",
-            self.expected, self.got
-        )
-    }
-}
-
-impl std::error::Error for MaskMismatch {}
-
-/// What a worker sends back at a snapshot barrier.
-struct ShardReport {
-    /// `(global node id, counters)` for every node the shard owns.
-    nodes: Vec<(u8, NodeCounters)>,
-    /// Overflow masks for the batches since the previous barrier.
-    masks: Vec<OverflowMask>,
-}
+/// What a worker sends back at a snapshot barrier: `(global node id,
+/// counters)` for every member of its shard.
+type ShardReport = Vec<(u8, NodeCounters)>;
 
 /// What a worker returns when its queue closes.
 struct WorkerDone {
     shard: NodeShard,
-    /// Overflow masks for the batches since the last barrier.
-    masks: Vec<OverflowMask>,
     snooped: u64,
     busy: Duration,
 }
@@ -235,8 +200,6 @@ pub struct EmulationEngine {
     /// Next admitted count at which to auto-sample.
     next_sample_at: u64,
     series: TimeSeries,
-    /// First error hit inside `feed` auto-sampling (surfaced at finish).
-    deferred: Option<Error>,
     started: Instant,
     batches: u64,
     producer_stalls: u64,
@@ -246,8 +209,9 @@ pub struct EmulationEngine {
 impl EmulationEngine {
     /// Starts an engine over `board`.
     ///
-    /// In parallel mode the board is split into whole-domain shards and
-    /// one worker thread is spawned per shard immediately.
+    /// In parallel mode the board is split into shards (see
+    /// [`MemoriesBoard::split`]) and one worker thread is spawned per
+    /// shard immediately.
     pub fn new(board: MemoriesBoard, config: EngineConfig) -> Self {
         let inner = match config.mode {
             EngineMode::Serial => Inner::Serial { board },
@@ -271,7 +235,6 @@ impl EmulationEngine {
             sample_period: None,
             next_sample_at: 0,
             series: TimeSeries::new(),
-            deferred: None,
             started: Instant::now(),
             batches: 0,
             producer_stalls: 0,
@@ -330,10 +293,10 @@ impl EmulationEngine {
                 workers,
                 ..
             } => {
-                if !front.observe(txn) {
+                let Some(forwarded) = front.forward(txn) else {
                     return;
-                }
-                block.push(*txn);
+                };
+                block.push(forwarded);
                 if block.is_full() {
                     let full = Arc::new(std::mem::replace(block, pool.take()));
                     self.batches += 1;
@@ -343,16 +306,8 @@ impl EmulationEngine {
         }
         if let Some(period) = self.sample_period {
             if self.admitted() >= self.next_sample_at {
-                // `feed` cannot return an error; park it for finish.
-                match self.take_snapshot() {
-                    Ok(snap) => {
-                        self.series.record(snap);
-                    }
-                    Err(e) => {
-                        self.deferred.get_or_insert(e);
-                        self.sample_period = None; // don't repeat the failure
-                    }
-                }
+                let snap = self.take_snapshot();
+                self.series.record(snap);
                 self.next_sample_at = self.admitted() + period;
             }
         }
@@ -393,10 +348,10 @@ impl EmulationEngine {
                 ..
             } => {
                 for txn in txns {
-                    if !front.observe(txn) {
+                    let Some(forwarded) = front.forward(txn) else {
                         continue;
-                    }
-                    block.push(*txn);
+                    };
+                    block.push(forwarded);
                     if block.is_full() {
                         let full = Arc::new(std::mem::replace(block, pool.take()));
                         self.batches += 1;
@@ -445,19 +400,19 @@ impl EmulationEngine {
     /// Takes a counter snapshot of the emulation *right now*, recording
     /// it into the series as well. In parallel mode this is a snapshot
     /// barrier: the partial batch is flushed and every worker reports its
-    /// counters and overflow masks, so the result is bit-identical to
-    /// what a serial board would show at the same stream position.
+    /// counters, so the result is bit-identical to what a serial board
+    /// would show at the same stream position.
     ///
     /// # Errors
     ///
-    /// Returns an error if shard overflow-mask lists diverge (retry
-    /// accounting would be wrong — does not happen for healthy workers).
+    /// None today; the `Result` is the
+    /// [`ExecutionBackend`](crate::ExecutionBackend) barrier contract.
     ///
     /// # Panics
     ///
     /// Propagates a worker thread's panic.
     pub fn sample_now(&mut self) -> Result<BoardSnapshot, Error> {
-        let snap = self.take_snapshot()?;
+        let snap = self.take_snapshot();
         self.series.record(snap.clone());
         Ok(snap)
     }
@@ -475,14 +430,14 @@ impl EmulationEngine {
     ///
     /// Propagates a worker thread's panic.
     pub fn barrier(&mut self) -> Result<BoardSnapshot, Error> {
-        self.take_snapshot()
+        Ok(self.take_snapshot())
     }
 
     /// The snapshot barrier itself (no series recording).
-    fn take_snapshot(&mut self) -> Result<BoardSnapshot, Error> {
+    fn take_snapshot(&mut self) -> BoardSnapshot {
         self.snapshots += 1;
         match &mut self.inner {
-            Inner::Serial { board } => Ok(board.snapshot()),
+            Inner::Serial { board } => board.snapshot(),
             Inner::Parallel {
                 front,
                 block,
@@ -505,39 +460,30 @@ impl EmulationEngine {
                 }
                 drop(reply);
                 let mut parts = Vec::with_capacity(*node_count);
-                let mut mask_lists = Vec::with_capacity(workers.len());
                 for _ in 0..workers.len() {
                     match reports.recv() {
-                        Ok(report) => {
-                            parts.extend(report.nodes);
-                            mask_lists.push(report.masks);
-                        }
+                        Ok(report) => parts.extend(report),
                         Err(_) => propagate_worker_failure(std::mem::take(workers)),
                     }
                 }
-                // Masks since the last barrier are index-aligned across
-                // workers; merge just those and fold the overflows into
-                // the retry account incrementally.
-                front.record_overflows(or_and_count(mask_lists)?);
-                Ok(BoardSnapshot::assemble(
+                BoardSnapshot::assemble(
                     front.global().clone(),
                     *front.filter().stats(),
                     front.retries_posted(),
                     *node_count,
                     parts,
-                ))
+                )
             }
         }
     }
 
-    /// Flushes outstanding batches, joins the workers, merges their
-    /// overflow masks, and reassembles the board.
+    /// Flushes outstanding batches, joins the workers, and reassembles
+    /// the board.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Board`] if shard reassembly fails (cannot happen
-    /// for shards produced by this engine), or an error if shard
-    /// overflow-mask lists diverged at a merge point.
+    /// for shards produced by this engine).
     ///
     /// # Panics
     ///
@@ -549,9 +495,6 @@ impl EmulationEngine {
     /// Like [`EmulationEngine::finish`], but also returns the sample
     /// series and the engine's own telemetry.
     pub fn finish_monitored(self) -> Result<(MemoriesBoard, MonitorReport), Error> {
-        if let Some(e) = self.deferred {
-            return Err(e);
-        }
         let mut telemetry = EngineTelemetry {
             batches: self.batches,
             queue_capacity: QUEUE_CAPACITY,
@@ -566,7 +509,7 @@ impl EmulationEngine {
                 board
             }
             Inner::Parallel {
-                mut front,
+                front,
                 block,
                 pool,
                 workers,
@@ -596,7 +539,6 @@ impl EmulationEngine {
                 drop(senders); // Closes the channels; workers drain and exit.
 
                 let mut shards = Vec::with_capacity(handles.len());
-                let mut mask_lists = Vec::with_capacity(handles.len());
                 for (i, handle) in handles.into_iter().enumerate() {
                     let done = handle
                         .join()
@@ -608,12 +550,7 @@ impl EmulationEngine {
                         busy: done.busy,
                     });
                     shards.push(done.shard);
-                    mask_lists.push(done.masks);
                 }
-                // One retry per admitted transaction that overflowed in
-                // any shard — exactly the serial board's accounting.
-                // (Masks before the last barrier were already folded in.)
-                front.record_overflows(or_and_count(mask_lists)?);
                 telemetry.seen = front.filter().stats().seen;
                 telemetry.admitted = front.filter().stats().forwarded;
                 MemoriesBoard::assemble(front, shards)?
@@ -644,37 +581,11 @@ impl fmt::Debug for EmulationEngine {
     }
 }
 
-/// Batch-queue slots per worker: a couple of batches of backpressure
-/// keeps the producer and workers overlapped without unbounded queueing.
-const QUEUE_CAPACITY: usize = 4;
-
-/// OR-merges the per-worker overflow-mask lists (which must be
-/// index-aligned: every worker sees the same batch sequence) and counts
-/// the set bits — the number of admitted transactions that overflowed in
-/// at least one shard.
-fn or_and_count(mask_lists: Vec<Vec<OverflowMask>>) -> Result<u64, Error> {
-    let mut lists = mask_lists.into_iter();
-    let mut merged = lists.next().unwrap_or_default();
-    for masks in lists {
-        if masks.len() != merged.len() {
-            return Err(Error::other(MaskMismatch {
-                expected: merged.len(),
-                got: masks.len(),
-            }));
-        }
-        for (acc, m) in merged.iter_mut().zip(&masks) {
-            debug_assert_eq!(acc.len(), m.len());
-            for (a, b) in acc.iter_mut().zip(m) {
-                *a |= *b;
-            }
-        }
-    }
-    Ok(merged
-        .iter()
-        .flat_map(|m| m.iter())
-        .map(|w| u64::from(w.count_ones()))
-        .sum())
-}
+/// Batch-queue slots per worker: enough batches of backpressure to keep
+/// the producer and workers overlapped when there are more threads than
+/// CPUs, without unbounded queueing (EXPERIMENTS.md, "Address-striped
+/// shards").
+const QUEUE_CAPACITY: usize = 8;
 
 /// Sends `batch` to every worker, counting backpressure stalls. If a
 /// worker has hung up (its thread died), joins all workers to surface the
@@ -724,37 +635,25 @@ fn spawn_worker(mut shard: NodeShard) -> Worker {
     let nodes = shard.len();
     let (sender, receiver) = sync_channel::<Request>(QUEUE_CAPACITY);
     let handle = std::thread::spawn(move || {
-        // Masks since the last snapshot barrier (drained at each one).
-        let mut masks: Vec<OverflowMask> = Vec::new();
         let mut snooped: u64 = 0;
         let mut busy = Duration::ZERO;
         while let Ok(request) = receiver.recv() {
             match request {
                 Request::Batch(batch) => {
                     let t0 = Instant::now();
-                    let mut mask = mask_for(batch.len());
-                    for (i, txn) in batch.iter().enumerate() {
-                        if shard.snoop(txn) {
-                            mask[i / 64] |= 1u64 << (i % 64);
-                        }
-                    }
+                    shard.snoop_block(&batch);
                     busy += t0.elapsed();
                     snooped += batch.len() as u64;
-                    masks.push(mask);
                 }
                 Request::Snapshot(reply) => {
                     // If the engine dropped the reply receiver it is
                     // already unwinding; keep draining until close.
-                    let _ = reply.send(ShardReport {
-                        nodes: shard.counters_snapshot(),
-                        masks: std::mem::take(&mut masks),
-                    });
+                    let _ = reply.send(shard.counters_snapshot());
                 }
             }
         }
         WorkerDone {
             shard,
-            masks,
             snooped,
             busy,
         }
@@ -871,13 +770,22 @@ mod tests {
             EngineConfig::parallel(2),
         );
         assert_eq!(engine.shard_count(), 2);
-        // One-domain boards cannot shard.
+        // A one-domain board shards by address stripe, up to the cap its
+        // geometry allows: the stripe bits must lie inside the set index.
         let single = BoardConfig::single_node(params(4096), (0..8).map(ProcId::new)).unwrap();
         let engine = EmulationEngine::new(
             MemoriesBoard::new(single).unwrap(),
             EngineConfig::parallel(8),
         );
-        assert_eq!(engine.shard_count(), 1);
+        assert_eq!(engine.shard_count(), 8);
+        engine.finish().unwrap();
+        // 4 KB, 2 ways, 128 B lines: 16 sets, so at most 16 stripes.
+        let single = BoardConfig::single_node(params(4096), (0..8).map(ProcId::new)).unwrap();
+        let engine = EmulationEngine::new(
+            MemoriesBoard::new(single).unwrap(),
+            EngineConfig::parallel(64),
+        );
+        assert_eq!(engine.shard_count(), 16);
         // Workers must still shut down cleanly with no traffic.
         engine.finish().unwrap();
     }
@@ -1025,21 +933,6 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default();
         assert_eq!(text, "barrier victim");
-    }
-
-    #[test]
-    fn mask_length_mismatch_is_a_real_error() {
-        // Diverged mask lists must surface as an Error (the old
-        // debug_assert vanished in release builds).
-        let lists = vec![vec![mask_for(64), mask_for(64)], vec![mask_for(64)]];
-        let err = or_and_count(lists).expect_err("mismatch must error");
-        assert!(err.to_string().contains("diverged"), "got: {err}");
-        // Aligned lists still count exactly.
-        let mut a = mask_for(64);
-        a[0] = 0b1011;
-        let mut b = mask_for(64);
-        b[0] = 0b0110;
-        assert_eq!(or_and_count(vec![vec![a], vec![b]]).unwrap(), 4);
     }
 
     #[test]

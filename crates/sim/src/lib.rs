@@ -20,8 +20,8 @@
 //! sizes.
 //!
 //! [`EmulationEngine`] is the sharded replay engine: it fans one
-//! transaction stream out to worker threads that each snoop a
-//! whole-domain group of node controllers, producing a board
+//! transaction stream out to worker threads that each snoop whole
+//! coherence domains or address stripes of them, producing a board
 //! bit-identical to a serial run. Monitored runs additionally take
 //! snapshot barriers every N admitted transactions and return a
 //! [`MonitorReport`] (live counter series + engine telemetry, both from

@@ -16,7 +16,7 @@
 //! statistics, and — the part a counter diff can miss — the tag
 //! directories, probed at every address the stream touched.
 
-use memories::{BoardConfig, CacheParams, MemoriesBoard, TimingConfig};
+use memories::{BoardConfig, CacheParams, MemoriesBoard, NodeSlot, TimingConfig};
 use memories_bus::{
     Address, BlockPool, BusListener, BusOp, NodeId, ProcId, SnoopResponse, Transaction,
     TransactionBlock,
@@ -49,6 +49,34 @@ fn board() -> MemoriesBoard {
         (0..8).map(ProcId::new).collect(),
     )
     .unwrap();
+    cfg.timing = TimingConfig {
+        buffer_capacity: 1 << 20,
+        ..TimingConfig::default()
+    };
+    MemoriesBoard::new(cfg).unwrap()
+}
+
+/// A single-domain board with the same generous buffering: one node
+/// over all 8 CPUs, or (`two_nodes`) two nodes of different line sizes
+/// splitting the CPUs. The engine shards such a board by address stripe.
+fn one_domain_board(two_nodes: bool) -> MemoriesBoard {
+    let cpus = |range: std::ops::Range<u8>| range.map(ProcId::new).collect::<Vec<_>>();
+    let mut cfg = if two_nodes {
+        let wide = CacheParams::builder()
+            .capacity(2 << 20)
+            .ways(4)
+            .line_size(512)
+            .allow_scaled_down()
+            .build()
+            .unwrap();
+        BoardConfig::from_slots(vec![
+            NodeSlot::new(params(1 << 20), cpus(0..4)),
+            NodeSlot::new(wide, cpus(4..8)),
+        ])
+        .unwrap()
+    } else {
+        BoardConfig::single_node(params(1 << 20), cpus(0..8)).unwrap()
+    };
     cfg.timing = TimingConfig {
         buffer_capacity: 1 << 20,
         ..TimingConfig::default()
@@ -212,6 +240,47 @@ proptest! {
             block_size,
             shards
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Single-node and single-domain boards, which the engine divides
+    /// into address stripes above one shard, agree with per-transaction
+    /// delivery to the serial board at every block size.
+    #[test]
+    fn striped_one_domain_boards_are_bit_identical_to_per_transaction(
+        raw in prop::collection::vec(arb_step(), 1..800),
+        two_nodes in prop::sample::select(vec![false, true]),
+        block_size in prop::sample::select(vec![1usize, 7, 512, 4096]),
+        shards in prop::sample::select(vec![2usize, 4, 8]),
+    ) {
+        let txns = build_stream(&raw);
+        let mut reference = one_domain_board(two_nodes);
+        for t in &txns {
+            reference.on_transaction(t);
+        }
+
+        let mut engine = EmulationEngine::new(
+            one_domain_board(two_nodes),
+            EngineConfig::parallel(shards).with_batch(512),
+        );
+        prop_assert_eq!(engine.shard_count(), shards);
+        for chunk in txns.chunks(block_size) {
+            engine.feed_block(chunk);
+        }
+        let final_board = engine.finish().unwrap();
+        prop_assert_eq!(
+            reference.statistics_report(),
+            final_board.statistics_report(),
+            "block size {} x {} stripes: engine counters diverged",
+            block_size,
+            shards
+        );
+        prop_assert_eq!(reference.retries_posted(), final_board.retries_posted());
+        prop_assert_eq!(reference.filter().stats(), final_board.filter().stats());
+        assert_directories_match(&reference, &final_board, &txns, "striped engine")?;
     }
 }
 
